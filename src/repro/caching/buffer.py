@@ -11,8 +11,10 @@ Everything is deterministic: slots are handed out in ascending order (so a
 seeded prefix occupies a contiguous, sequentially-readable run, matching
 the static cache's disk layout), freed slots are reused LIFO, and the
 eviction order is whatever the policy computes from the reference stream.
-``eviction_log`` records every victim in order -- the determinism tests
-compare it byte for byte across reruns.
+``eviction_history`` folds every victim, in order, into an eviction count
+and a running digest (:class:`~repro.sim.monitor.EventHistory`) -- the
+determinism tests compare it across reruns without the cache keeping every
+victim for the whole run.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.caching.policies import make_policy
 from repro.errors import ConfigurationError
+from repro.sim.monitor import EventHistory
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.storage.layout import ExtentAllocator
@@ -111,9 +114,9 @@ class BufferCache:
         self.admissions = 0
         self.invalidations = 0
         self.seeded = 0
-        #: Every victim, in eviction order -- compared byte for byte by the
-        #: determinism tests.
-        self.eviction_log: list[tuple[str, int]] = []
+        #: Count and running digest of every victim, in eviction order --
+        #: compared across reruns by the determinism tests.
+        self.eviction_history = EventHistory()
 
     # ------------------------------------------------------------------
     # Residency
@@ -152,7 +155,7 @@ class BufferCache:
             return slot
         victim = self._policy.evict()
         self.evictions += 1
-        self.eviction_log.append(victim)
+        self.eviction_history.record(*victim)
         self._versions.pop(victim, None)
         return self._slots.pop(victim)
 
@@ -189,7 +192,7 @@ class BufferCache:
         The freed slot goes on the LIFO free list, exactly as if the policy
         had evicted it -- but the drop is *not* an eviction: it is counted
         separately, bypasses the policy's victim choice, and never appears
-        in ``eviction_log``.
+        in ``eviction_history``.
         """
         key = (relation, page_index)
         slot = self._slots.pop(key, None)
@@ -251,7 +254,7 @@ class BufferCache:
         correctly only against a cache that will answer every lookup and
         elect every victim identically, so this digest folds in the exact
         slot map, version stamps, free list, and replacement-policy state.
-        Demand counters and the eviction log are excluded on purpose: they
+        Demand counters and the eviction history are excluded on purpose: they
         are history, and have no effect on future behaviour.
         """
         state = (

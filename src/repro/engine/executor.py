@@ -152,10 +152,24 @@ class ExecutionContext:
         Called when an attempt is abandoned mid-run: operators whose
         ``close`` will never run give their buffer memory and temp extents
         back, so later attempts (and concurrent sessions) are not starved
-        by leaked allocations.
+        by leaked allocations.  The attempt is over, so this also drops
+        the operator list (see :meth:`finish`).
         """
         for op in self.operators:
             op.abort()
+        self.finish()
+
+    def finish(self) -> None:
+        """Forget this run's operators once the run is over.
+
+        Every operator points at its context and the context lists every
+        operator: a reference cycle that would keep the finished operator
+        tree -- its exchange processes, channels, and temp files -- alive
+        until a cyclic GC pass, and the workload runner pauses those for the
+        whole simulation.  Dropping the list lets refcounting free the tree
+        as soon as its session lets go of the root.
+        """
+        self.operators = []
 
     def _supervise(self, generator: typing.Generator) -> typing.Generator:
         """Convert an escaping transient fault (or shed) into a fault-event
@@ -974,6 +988,7 @@ class QuerySession:
             raise
         finally:
             self._release(tickets)
+            context.finish()
         if recording is not None:
             memo.commit(recording, root.result_tuples)
         return root.result_tuples, self._servers_of(bound)
@@ -1034,6 +1049,7 @@ class QuerySession:
             self._release(tickets)
             if failure is None:
                 if consumer.triggered and consumer.ok:
+                    context.finish()
                     return root.result_tuples, self._servers_of(bound)
                 failure = QueryTimeoutError(
                     f"session {self.session_id} timed out after "
@@ -1182,6 +1198,7 @@ class WriteSession:
             raise
         finally:
             QuerySession._release(tickets)
+            context.finish()
         return root.tuples_produced
 
     def _run_with_recovery(self) -> typing.Generator:
@@ -1224,6 +1241,7 @@ class WriteSession:
             QuerySession._release(tickets)
             if failure is None:
                 if consumer.triggered and consumer.ok:
+                    context.finish()
                     return root.tuples_produced
                 failure = QueryTimeoutError(
                     f"write {self.session_id} timed out after "

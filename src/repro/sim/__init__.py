@@ -26,7 +26,7 @@ from repro.sim.engine import Environment, Process
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.channels import Channel, ChannelClosed
 from repro.sim.resources import Request, RequestPool, Resource
-from repro.sim.monitor import Counter, Tally, UtilizationMonitor
+from repro.sim.monitor import Counter, EventHistory, Tally, UtilizationMonitor
 
 __all__ = [
     "AllOf",
@@ -36,6 +36,7 @@ __all__ = [
     "Counter",
     "Environment",
     "Event",
+    "EventHistory",
     "Process",
     "Request",
     "RequestPool",

@@ -86,9 +86,15 @@ class Process(Event):
             else:
                 target = self._throw(trigger._exception)
         except StopIteration as stop:
+            # A finished process must not keep its last event: a failed
+            # channel get holds ChannelClosed, whose traceback frame holds
+            # the consumer's state, which points back here -- a cycle that
+            # would pin the whole finished session until a GC pass.
+            self._waiting_on = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
+            self._waiting_on = None
             if env.strict:
                 raise
             self.fail(exc)

@@ -198,5 +198,13 @@ class AnyOf(_Condition):
             return
         if not event.ok:
             self.fail(event.exception or EventError("child event failed"))
-            return
-        self.succeed(event._value)
+        else:
+            self.succeed(event._value)
+        # Decided: unhook from the children still pending.  Their callbacks
+        # would only return early, and a child that never fires (a
+        # session's fault event) would otherwise keep this condition -- and
+        # through it every other child -- alive for the rest of the run.
+        callback = self._child_fired
+        for child in self.events:
+            if not child._processed and callback in child.callbacks:
+                child.callbacks.remove(callback)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
-__all__ = ["Counter", "Tally", "UtilizationMonitor"]
+__all__ = ["Counter", "EventHistory", "Tally", "UtilizationMonitor"]
 
 
 class Counter:
@@ -69,6 +70,45 @@ class Tally:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Tally {self.name!r} n={self.count} mean={self.mean:.6g}>"
+
+
+class EventHistory:
+    """An event count plus a fixed-size running digest of every event.
+
+    Determinism tests compare whole event histories between reruns (the
+    memory broker's grants and spills, the buffer cache's victims).  Keeping
+    the events themselves would grow with every event processed; this state
+    stays the same size for the whole run.  Two histories are equal exactly
+    when they saw the same number of events with the same fields in the same
+    order (up to a 128-bit BLAKE2b collision).  Each event is hashed as the
+    ``repr`` of its field tuple, which is exact for floats and
+    self-delimiting for strings, so no two distinct streams share an
+    encoding.
+    """
+
+    __slots__ = ("count", "_hash")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self._hash = hashlib.blake2b(digest_size=16)
+
+    def record(self, *fields: typing.Any) -> None:
+        """Fold one event into the history."""
+        self.count += 1
+        self._hash.update(repr(fields).encode())
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventHistory):
+            return NotImplemented
+        return self.count == other.count and self._hash.digest() == other._hash.digest()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<EventHistory n={self.count} {self.hexdigest()}>"
 
 
 class UtilizationMonitor:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.config import HYBRID_HASH_FUDGE_FACTOR, BufferAllocation
 from repro.errors import ConfigurationError, MemoryExhaustedError, TransientFaultError
 from repro.sim.events import Event
+from repro.sim.monitor import EventHistory
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -278,10 +279,12 @@ class MemoryBroker(MemoryManager):
     intact for the static discipline, so one object serves both modes and
     metrics read a single source of truth.
 
-    ``log`` records every event as ``(time, kind, label, pages)`` tuples --
-    the determinism tests compare it byte-for-byte across replays, and the
+    ``history`` folds every event's ``(time, kind, label, pages)`` into an
+    event count and a running digest (:class:`~repro.sim.monitor.EventHistory`)
+    rather than keeping the events, so the broker's memory does not grow
+    with the run -- the determinism tests compare it across replays.  The
     simulator's deadlock dump renders :meth:`describe_pressure` from the
-    live queue.
+    live grants and queue.
     """
 
     def __init__(
@@ -302,7 +305,7 @@ class MemoryBroker(MemoryManager):
         self.spill_pages = 0
         self.wait_count = 0
         self.total_wait_time = 0.0
-        self.log: list[tuple[float, str, str, int]] = []
+        self.history = EventHistory()
 
     # ------------------------------------------------------------------
     # Static (legacy) surface: recorded for session memoization.  The
@@ -423,7 +426,7 @@ class MemoryBroker(MemoryManager):
     # Internal machinery
     # ------------------------------------------------------------------
     def _log(self, kind: str, label: str, pages: int) -> None:
-        self.log.append((self.env.now, kind, label, pages))
+        self.history.record(self.env.now, kind, label, pages)
 
     def _issue(
         self,

@@ -38,7 +38,7 @@ Correctness levers:
 
 ``REPRO_SIM_MEMO=0`` (or ``WorkloadRunner(memoize=False)``) turns the whole
 mechanism off; the equality tests compare memoized and plain runs field for
-field, including telemetry, profiles, and broker logs.
+field, including telemetry, profiles, and broker histories.
 """
 
 from __future__ import annotations

@@ -234,7 +234,7 @@ class WorkloadRunner:
             self.tracer.bind(env)
         topology = Topology(env, config, seed=self.seed)
         # Exposed for tests and diagnostics (e.g. comparing per-site broker
-        # logs across replayed workloads); overwritten by each run().
+        # histories across replayed workloads); overwritten by each run().
         self.last_topology = topology
         scenario.catalog.install(
             topology,
@@ -350,11 +350,19 @@ class WorkloadRunner:
 
         # The event loop allocates millions of short-lived tuples, events,
         # and generator frames; cyclic-GC passes over that churn cost ~6% of
-        # the run and can never free anything mid-run that refcounting
-        # doesn't.  Pause collection for the simulation proper and take one
-        # collection at the end.
+        # the run, so collection is paused for the simulation proper.  While
+        # it is paused, anything that dies inside a reference cycle stays
+        # resident until the end, so finished sessions must be freed by
+        # refcounting alone: a finished Process drops its last event, a
+        # finished ExecutionContext its operator list, and a fired AnyOf
+        # its hooks on the children still pending, for this reason.  The
+        # broker and buffer-cache histories are fixed-size digests, not
+        # per-event lists.  One collection before the pause frees the previous
+        # run's topology, which is cyclic, before this run grows beside it;
+        # one after frees this run's.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
+            gc.collect()
             gc.disable()
         try:
             env.run(until=env.process(main(), name="workload-driver"))

@@ -64,7 +64,7 @@ class TestCapacity:
         for i in range(10):
             cache.admit("A", i)
         assert cache.evictions == 6
-        assert len(cache.eviction_log) == 6
+        assert cache.eviction_history.count == 6
         assert cache.resident_count == 4
 
     def test_capacity_zero_admits_nothing(self):
@@ -143,12 +143,12 @@ class TestSnapshots:
                 index = rng.randrange(20)
                 if cache.lookup(relation, index) is None:
                     cache.admit(relation, index)
-            return cache.snapshot(), list(cache.eviction_log)
+            return cache.snapshot(), cache.eviction_history
 
-        (state1, log1), (state2, log2) = run(), run()
+        (state1, history1), (state2, history2) = run(), run()
         assert state1 == state2
-        assert log1 == log2
-        assert len(log1) > 0
+        assert history1 == history2
+        assert history1.count > 0
 
 
 class TestConfig:

@@ -90,5 +90,12 @@ def test_memoized_workload_identical_to_simulated():
     # Same seeds => identical WorkloadResult, down to the profile counters
     # and the sampled telemetry time series (frozen-dataclass equality).
     assert memo_result == plain_result
+    # Replayed spills carry the replaying client's labels, so every site's
+    # broker history matches event for event.
+    for memo_site, plain_site in zip(
+        memo_runner.last_topology.sites, plain_runner.last_topology.sites
+    ):
+        assert memo_site.memory.history == plain_site.memory.history
+    assert memo_runner.last_topology.sites[0].memory.history.count > 0
     # Steady state keeps the hardware hooks on the recorder-is-None path.
     assert memo_runner.last_topology.env.recorder is None

@@ -1,5 +1,8 @@
 """Unit tests for bounded channels (pipelined page shipping)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Channel, ChannelClosed
@@ -157,3 +160,48 @@ def test_fifo_order_under_pressure(env):
     env.process(producer())
     env.run(until=env.process(consumer()))
     assert received == list(range(10))
+
+
+def test_finished_consumer_of_closed_channel_is_freed_by_refcount(env):
+    """A consumer ending on ChannelClosed keeps no reference to its last event.
+
+    The failed get holds the exception, whose traceback holds the
+    consumer's frame, whose locals reach back to the process (here through
+    ``receiver``, as an exchange receiver does): unless the finished process
+    drops that event, the cycle survives until a cyclic GC pass.
+    """
+    channel = Channel(env, capacity=1)
+
+    class Receiver:
+        process = None
+
+    def consume(receiver):
+        while True:
+            try:
+                yield channel.get()
+            except ChannelClosed:
+                return "closed"
+
+    def closer():
+        yield env.timeout(1.0)
+        channel.close()
+        # Resumed last, so the environment's active-process pointer has
+        # moved off the consumer by the time the run ends.
+        yield env.timeout(1.0)
+
+    receiver = Receiver()
+    receiver.process = env.process(consume(receiver))
+    env.process(closer())
+    env.run()
+    process = receiver.process
+    assert not process.is_alive
+    assert process._waiting_on is None
+    ref = weakref.ref(process)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del process, receiver
+        assert ref() is None
+    finally:
+        if gc_was_enabled:
+            gc.enable()

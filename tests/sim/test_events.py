@@ -102,6 +102,19 @@ class TestConditions:
         assert combined.value == "fast"
         assert env.now == 1.0
 
+    def test_any_of_unhooks_from_pending_children_once_fired(self, env):
+        never = Event(env)
+        fast = Timeout(env, 1.0, value="fast")
+        combined = AnyOf(env, [never, fast])
+        assert len(never.callbacks) == 1
+        env.run(until=combined)
+        # A child that never fires must not keep the decided condition
+        # (and through it the other children) alive.
+        assert never.callbacks == []
+        never.succeed("late")
+        env.run()
+        assert combined.value == "fast"
+
     def test_all_of_propagates_failure(self, env):
         good = Timeout(env, 1.0)
         bad = Event(env)

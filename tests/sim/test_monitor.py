@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, Tally, UtilizationMonitor
+from repro.sim import Counter, EventHistory, Tally, UtilizationMonitor
 
 
 class TestCounter:
@@ -208,3 +208,38 @@ class TestUnifiedUtilizationSemantics:
         env.process(producer())
         env.run(until=env.process(consumer()))
         assert pool.utilization() == pytest.approx(2.0 / 4.0)
+
+
+class TestEventHistory:
+    def test_equal_streams_are_equal(self):
+        a, b = EventHistory(), EventHistory()
+        assert a == b
+        for history in (a, b):
+            history.record(0.5, "grant", "join#0@server1", 40)
+            history.record(1.25, "spill", "join#0@server1", 3)
+        assert a.count == b.count == 2
+        assert a == b
+        assert a.hexdigest() == b.hexdigest()
+
+    def test_one_changed_field_changes_the_digest(self):
+        a, b = EventHistory(), EventHistory()
+        a.record(0.5, "spill", "join#0@server1", 3)
+        b.record(0.5, "spill", "join#0@server1", 4)
+        assert a.count == b.count
+        assert a != b
+
+    def test_order_and_framing_matter(self):
+        a, b = EventHistory(), EventHistory()
+        a.record("x", 1)
+        a.record("y", 2)
+        b.record("y", 2)
+        b.record("x", 1)
+        assert a != b
+        c, d = EventHistory(), EventHistory()
+        c.record("ab", "c")
+        d.record("a", "bc")
+        assert c != d
+
+    def test_is_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(EventHistory())

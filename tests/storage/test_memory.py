@@ -263,17 +263,24 @@ class TestMemoryBroker:
         assert broker.allocated_pages == 0
         env.run(until=env.timeout(0.0))
 
-    def test_log_is_deterministic(self):
-        def scenario():
-            env, broker = self.make(capacity=50)
-            a = broker.try_grant(10, 50, "a", lambda pages: pages)
-            broker.try_grant(10, 20, "b")
-            broker.record_spill("a", 3)
-            a.release()
-            env.run(until=env.timeout(0.0))
-            return broker.log
+    def _history(self, spill_pages=3):
+        env, broker = self.make(capacity=50)
+        a = broker.try_grant(10, 50, "a", lambda pages: pages)
+        broker.try_grant(10, 20, "b")
+        broker.record_spill("a", spill_pages)
+        a.release()
+        env.run(until=env.timeout(0.0))
+        return broker.history
 
-        assert scenario() == scenario()
+    def test_log_is_deterministic(self):
+        history = self._history()
+        assert history.count == 5  # grant a, reclaim a, grant b, spill, release
+        assert history == self._history()
+
+    def test_history_sees_one_event_pages_change(self):
+        changed = self._history(spill_pages=4)
+        assert changed.count == self._history().count
+        assert changed != self._history()
 
     def test_bad_range_rejected(self):
         _env, broker = self.make()

@@ -1,16 +1,22 @@
 """End-to-end workload runner tests on the real engine."""
 
+import gc
+
 import pytest
 
 from repro import api
 from repro.errors import ConfigurationError
+from repro.faults.recovery import RecoveryPolicy
+from repro.hardware.site import TempFile
 from repro.plans.policies import Policy
+from repro.sim import Process
 from repro.workload import (
     AdmissionConfig,
     AdmissionPolicy,
     StreamConfig,
     WorkloadRunner,
 )
+from repro.workload.memo import _ReplayState
 from repro.workloads.scenarios import chain_scenario
 
 
@@ -202,3 +208,56 @@ class TestApiSurface:
         )
         assert any(v > 0.0 for v in result.disk_utilizations.values())
         assert any(v > 0.0 for v in result.cpu_utilizations.values())
+
+
+class TestFinishedSessionsFreedByRefcount:
+    """The runner pauses cyclic GC for the whole simulation, so a finished
+    session must be freed by refcounting alone: no reference cycle may keep
+    its processes, replay state, or temp files until the pause ends."""
+
+    @pytest.mark.parametrize("case", ("memo", "recovery", "writes"))
+    def test_no_session_state_in_cyclic_garbage(self, case):
+        stream = dict(arrival="closed", think_time=0.0, queries_per_client=2)
+        policy = Policy.HYBRID_SHIPPING
+        extra = {}
+        if case == "recovery":
+            extra["recovery"] = RecoveryPolicy()
+        elif case == "writes":
+            stream["write_fraction"] = 0.5
+            policy = Policy.DATA_SHIPPING
+        runner = WorkloadRunner(
+            chain_scenario(
+                num_relations=2, num_servers=1, cached_fraction=0.5, placement_seed=3
+            ),
+            policy,
+            num_clients=4,
+            stream=StreamConfig(**stream),
+            admission=AdmissionConfig(max_concurrent=2, queue_limit=64),
+            seed=3,
+            cache="dynamic",
+            **extra,
+        )
+        gc.collect()
+        gc_was_enabled = gc.isenabled()
+        # With GC already off the runner neither pauses nor collects, so
+        # the collection below is the first one after its env.run.
+        gc.disable()
+        try:
+            result = runner.run()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            pinned = [
+                type(obj).__name__
+                for obj in gc.garbage
+                if isinstance(obj, (Process, _ReplayState, TempFile))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if gc_was_enabled:
+                gc.enable()
+        assert result.completed == result.submitted
+        if case == "memo":
+            memo = runner.last_memo
+            assert memo is not None and memo.recordings > 0 and memo.replays > 0
+        assert pinned == []
