@@ -7,16 +7,19 @@ exchange pairs on cross-site edges), and runs the root display to
 completion.  The result carries the study's two metrics -- response time
 and pages sent -- plus detailed resource statistics.
 
-For multi-client workloads the executor can instead be built *around* an
-existing environment and topology, and :class:`QuerySession` runs one
-query as a simulated process on that shared system: many sessions execute
-concurrently, contending on the server CPUs, disks, and the network, with
-optional server-side admission control (see :mod:`repro.workload`).
+Every run goes through a :class:`Session`: one query or write statement
+driven as a simulated process.  :meth:`QueryExecutor.execute` runs a
+single query as a one-client session; for multi-client workloads the
+executor is instead built *around* an existing environment and topology,
+and many sessions execute concurrently on that shared system, contending
+on the server CPUs, disks, and the network, with optional server-side
+admission control (see :mod:`repro.workload`).
 
 With a :class:`~repro.faults.FaultSchedule` attached, the executor becomes
 fault tolerant: a :class:`~repro.faults.FaultInjector` crashes servers,
-partitions the network, and slows disks mid-run, and a client-side
-*recovery loop* reacts to the resulting
+partitions the network, and slows disks mid-run, and the session's
+*recovery loop* -- one loop for single queries, concurrent queries, and
+writes alike -- reacts to the resulting
 :class:`~repro.errors.TransientFaultError`\\ s with bounded retries
 (exponential backoff + jitter, all in sim time), re-optimizing around
 crashed sites -- falling back to the client's cached copies exactly where
@@ -86,9 +89,8 @@ __all__ = [
     "ExecutionContext",
     "ExecutionResult",
     "QueryExecutor",
-    "QuerySession",
+    "Session",
     "SessionResult",
-    "WriteSession",
 ]
 
 
@@ -237,8 +239,8 @@ class QueryExecutor:
     installed catalog) and :meth:`execute` runs one plan to completion on
     it.  Passing ``topology`` (and optionally ``env``) instead attaches the
     executor to an existing, already-installed system -- the multi-client
-    workload mode, where :meth:`session` creates concurrently running
-    :class:`QuerySession`\\ s and the caller drives the environment.
+    workload mode, where the caller creates concurrently running
+    :class:`Session`\\ s and drives the environment.
     """
 
     def __init__(
@@ -281,9 +283,6 @@ class QueryExecutor:
         if tracer is not None:
             tracer.bind(self.env)
         self.estimator = Estimator(query, catalog, config)
-        self.context = ExecutionContext(
-            self.env, self.topology, catalog, query, self.estimator
-        )
         self.load_generators: list[DiskLoadGenerator] = []
         for site_id, rate in self.server_loads.items():
             self.load_generators.append(
@@ -342,7 +341,7 @@ class QueryExecutor:
         ``xfer:<producer label>``) -- the key the tracer and the cost-model
         validation harness join on.
         """
-        context = context or self.context
+        context = context or self.new_context()
         root = bound.root
         if not isinstance(root, DisplayOp):
             raise ExecutionError("bound plan root must be a display operator")
@@ -439,26 +438,33 @@ class QueryExecutor:
     def execute(self, plan: "DisplayOp | BoundPlan") -> ExecutionResult:
         """Bind (if needed), build, and run a plan; return its metrics.
 
-        Without faults this is the classic single-attempt path.  With a
-        fault schedule (or an explicit recovery policy) the run goes
-        through the recovery loop: transient faults abort the attempt,
-        bounded retries follow, and the final failure -- if recovery is
-        exhausted -- propagates as the fault that caused it.
+        The plan runs as a one-client :class:`Session`.  Without faults that
+        is a single inline attempt.  With a fault schedule (or an explicit
+        recovery policy) it goes through the session's recovery loop:
+        transient faults abort the attempt, bounded retries follow, and the
+        final failure -- if recovery is exhausted -- propagates as the fault
+        that caused it.
         """
         self._begin_execute()
-        if self.fault_tolerant:
-            return self._execute_with_recovery(plan)
-        if isinstance(plan, BoundPlan):
-            bound = plan
-        else:
+        if not isinstance(plan, BoundPlan):
             validate_plan(plan, self.query)
-            bound = bind_plan(plan, self.catalog)
-        root = self.build_physical(bound)
-        driver = self.env.process(self._drive(root), name="query-driver")
-        self.env.run(until=driver)
-        return self._collect(root)
+        session = Session(
+            self, plan, session_id="query", jitter_stream=f"{self.seed}:recovery"
+        )
+        self.env.run(until=self.env.process(session.run(), name="query-driver"))
+        self.recovery_stats = session.stats
+        if session.error is not None:
+            raise session.error
+        return self._collect(session.root)
 
-    def _drive(self, root: DisplayIterator) -> typing.Generator:
+    def new_context(self, supervised: bool = False) -> ExecutionContext:
+        """A fresh context for one run (or recovery attempt) of this query."""
+        return ExecutionContext(
+            self.env, self.topology, self.catalog, self.query, self.estimator,
+            supervised=supervised,
+        )
+
+    def _drive(self, root: PhysicalOp) -> typing.Generator:
         # The untraced loop is spelled out (not delegated to a helper
         # generator) because an extra `yield from` frame here would sit on
         # every resume of the query driver.
@@ -483,94 +489,8 @@ class QueryExecutor:
             tracer.end(span)
 
     # ------------------------------------------------------------------
-    # Fault-tolerant execution
+    # Planning against the live system
     # ------------------------------------------------------------------
-    def _execute_with_recovery(self, plan: "DisplayOp | BoundPlan") -> ExecutionResult:
-        recovery = self.recovery or RecoveryPolicy()
-        if isinstance(plan, BoundPlan):
-            annotated: DisplayOp | None = None
-            bound: BoundPlan | None = plan
-        else:
-            validate_plan(plan, self.query)
-            annotated = plan
-            bound = None
-        driver = self.env.process(
-            self._recovery_loop(annotated, bound, recovery), name="recovery-driver"
-        )
-        return self.env.run(until=driver)
-
-    def _recovery_loop(
-        self,
-        annotated: DisplayOp | None,
-        prebound: BoundPlan | None,
-        recovery: RecoveryPolicy,
-    ) -> typing.Generator:
-        env = self.env
-        stats = self.recovery_stats
-        rng = random.Random(f"{self.seed}:recovery")
-        # Measured from the start of *this* execution, so a re-executed
-        # topology (env.now > 0) gets the full timeout budget.
-        deadline = None if recovery.query_timeout is None else env.now + recovery.query_timeout
-        attempt = 0
-        while True:
-            attempt += 1
-            context = ExecutionContext(
-                env, self.topology, self.catalog, self.query, self.estimator,
-                supervised=True,
-            )
-            bound = prebound if annotated is None else bind_plan(annotated, self.catalog)
-            assert bound is not None
-            root = self.build_physical(bound, context)
-            consumer = context.spawn(self._drive(root), name=f"query-driver#{attempt}")
-            assert context.fault_event is not None
-            watchers: list[Event] = [consumer, context.fault_event]
-            if deadline is not None:
-                watchers.append(env.timeout(max(0.0, deadline - env.now)))
-            failure: TransientFaultError | None = None
-            try:
-                yield AnyOf(env, watchers)
-            except QueryShedError:
-                # Shedding is a load-control verdict, not a fault: release
-                # this attempt's resources and let the caller see it.
-                context.abort()
-                raise
-            except TransientFaultError as exc:
-                failure = exc
-            if failure is None:
-                if consumer.triggered and consumer.ok:
-                    time_to_recover = stats.record_success(env.now)
-                    return self._collect(root, context, time_to_recover)
-                failure = QueryTimeoutError(
-                    f"query timed out after {recovery.query_timeout}s (attempt {attempt})"
-                )
-            stats.record_fault(env.now)
-            stats.wasted_work_pages.add(context.pages_produced())
-            context.abort()
-            if env.tracer is not None:
-                env.tracer.instant(
-                    "attempt-failed",
-                    cat="fault",
-                    args={"attempt": attempt, "error": str(failure)},
-                )
-            if deadline is not None and env.now >= deadline:
-                if not isinstance(failure, QueryTimeoutError):
-                    failure = QueryTimeoutError(
-                        f"query timed out after {recovery.query_timeout}s while "
-                        f"recovering from: {failure}"
-                    )
-                raise failure
-            if attempt >= recovery.max_attempts:
-                raise failure
-            stats.retries.add()
-            if env.tracer is not None:
-                env.tracer.instant("retry", cat="fault", args={"attempt": attempt + 1})
-            yield env.timeout(recovery.backoff(attempt, rng))
-            if recovery.replan and annotated is not None:
-                replanned = self._replan(annotated)
-                if replanned is not None:
-                    annotated = replanned
-                    stats.replans.add()
-
     def _client_cache_view(self, client_site: int) -> "tuple[typing.Any, str]":
         """The (cache state, contents digest) of one client's live cache.
 
@@ -578,7 +498,7 @@ class QueryExecutor:
         reads their fractions from the catalog -- unless a per-client
         override made the disk differ from the catalog, which is exactly
         what the digest keys); dynamic caches contribute their snapshot
-        too, so replans price client scans against what is resident *now*.
+        too, so plans price client scans against what is resident *now*.
         """
         site = self.topology.site(client_site)
         if site.buffer_cache is not None:
@@ -587,6 +507,45 @@ class QueryExecutor:
         if site.cache is not None:
             return None, site.cache.digest()
         return None, ""
+
+    def optimize_for(
+        self,
+        client_site: int,
+        policy: Policy | None = None,
+        forced_client_relations: frozenset[str] = frozenset(),
+    ) -> DisplayOp:
+        """Optimize the query for one client as the system stands *now*.
+
+        The plan is priced against the client's live cache contents and,
+        under dynamic memory governance, the brokers' current occupancy
+        (steering joins away from saturated sites); both digests key the
+        plan cache.  ``policy`` defaults to the executor's.
+        """
+        from repro.optimizer.two_phase import RandomizedOptimizer
+
+        cache_state, cache_digest = self._client_cache_view(client_site)
+        environment = EnvironmentState(
+            self.catalog,
+            self.config,
+            dict(self.server_loads),
+            cache_state=cache_state,
+            memory_pressure=(
+                MemoryPressureState.capture(self.topology.sites)
+                if self.config.memory.is_dynamic
+                else None
+            ),
+        )
+        return RandomizedOptimizer(
+            self.query,
+            environment,
+            policy=policy or self.policy,
+            objective=self.objective,
+            config=self.optimizer_config or OptimizerConfig.fast(),
+            seed=self.seed,
+            forced_client_relations=forced_client_relations,
+            plan_cache=self.plan_cache,
+            cache_digest=cache_digest,
+        ).optimize().plan
 
     def _replan(
         self, annotated: DisplayOp, client_site: int = CLIENT_SITE_ID
@@ -604,7 +563,6 @@ class QueryExecutor:
         keep their plan and simply wait out the restart window.
         """
         from repro.optimizer.random_plans import rehome_scans
-        from repro.optimizer.two_phase import RandomizedOptimizer
 
         down = {site.site_id for site in self.topology.servers if not site.up}
         if not down:
@@ -628,42 +586,16 @@ class QueryExecutor:
         if not stranded:
             # Pure replica failover: keep the plan, repoint the scans.
             return rehome_scans(annotated, rehomed)
-        excluded = frozenset(stranded)
         policy = self.policy or self._infer_policy(annotated)
         if Annotation.CLIENT not in allowed_annotations(policy, "scan"):
             return None
-        cache_state, cache_digest = self._client_cache_view(client_site)
-        environment = EnvironmentState(
-            self.catalog,
-            self.config,
-            dict(self.server_loads),
-            cache_state=cache_state,
-            # Under dynamic governance a replan prices plans against the
-            # brokers' *current* occupancy, steering joins away from
-            # saturated sites; the pressure digest keys the plan cache.
-            memory_pressure=(
-                MemoryPressureState.capture(self.topology.sites)
-                if self.config.memory.is_dynamic
-                else None
-            ),
-        )
         try:
-            result = RandomizedOptimizer(
-                self.query,
-                environment,
-                policy=policy,
-                objective=self.objective,
-                config=self.optimizer_config or OptimizerConfig.fast(),
-                seed=self.seed,
-                forced_client_relations=excluded,
-                plan_cache=self.plan_cache,
-                cache_digest=cache_digest,
-            ).optimize()
+            plan = self.optimize_for(client_site, policy, frozenset(stranded))
         except OptimizationError:
             return None
         # Freshly optimized scans default to the primary copy; repoint the
         # relations whose serving copy is down onto their survivors.
-        return rehome_scans(result.plan, rehomed)
+        return rehome_scans(plan, rehomed)
 
     @staticmethod
     def _infer_policy(plan: DisplayOp) -> Policy:
@@ -681,58 +613,6 @@ class QueryExecutor:
         return Policy.HYBRID_SHIPPING
 
     # ------------------------------------------------------------------
-    # Sessions (multi-client workload mode)
-    # ------------------------------------------------------------------
-    def session(
-        self,
-        plan: "DisplayOp | BoundPlan",
-        client_site: int = CLIENT_SITE_ID,
-        admission: "typing.Mapping[int, typing.Any] | None" = None,
-        session_id: str = "q0",
-        recovery: RecoveryPolicy | None = None,
-    ) -> "QuerySession":
-        """Create one in-flight query on this executor's (shared) system.
-
-        ``admission`` maps server site ids to admission controllers (see
-        :class:`repro.workload.AdmissionController`); ``client_site`` pins
-        the plan's client-side operators to one of the topology's client
-        sites (0, -1, -2, ...).  The returned session's :meth:`~QuerySession.run`
-        generator is spawned as a simulated process by the caller.
-        """
-        return QuerySession(
-            self,
-            plan,
-            client_site=client_site,
-            admission=admission,
-            session_id=session_id,
-            recovery=recovery if recovery is not None else self.recovery,
-        )
-
-    def write_session(
-        self,
-        spec: WriteSpec,
-        client_site: int = CLIENT_SITE_ID,
-        admission: "typing.Mapping[int, typing.Any] | None" = None,
-        session_id: str = "w0",
-        recovery: RecoveryPolicy | None = None,
-    ) -> "WriteSession":
-        """Create one in-flight write statement on this executor's system.
-
-        Writes flow through the same admission controllers and per-session
-        recovery loop as queries; the acting primary is re-resolved on every
-        attempt, so a write failed by a crashing server retries against a
-        surviving replica.
-        """
-        return WriteSession(
-            self,
-            spec,
-            client_site=client_site,
-            admission=admission,
-            session_id=session_id,
-            recovery=recovery if recovery is not None else self.recovery,
-        )
-
-    # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
     def _begin_execute(self) -> None:
@@ -741,8 +621,9 @@ class QueryExecutor:
         The topology's clock, network counters, disk counters, and metrics
         registry are all cumulative over the life of the system, so calling
         :meth:`execute` twice on one executor would otherwise report the
-        first run's work again inside the second result.  Each execute also
-        gets fresh recovery statistics.
+        first run's work again inside the second result.  (Recovery
+        statistics need no baseline: each execute's session brings fresh
+        ones.)
         """
         network = self.topology.network
         reads = writes = 0
@@ -760,14 +641,8 @@ class QueryExecutor:
             "disk_writes": writes,
         }
         self._baseline_profile = self.topology.metrics.snapshot()
-        self.recovery_stats = RecoveryStats()
 
-    def _collect(
-        self,
-        root: DisplayIterator,
-        context: ExecutionContext | None = None,
-        time_to_recover: float = 0.0,
-    ) -> ExecutionResult:
+    def _collect(self, root: DisplayIterator) -> ExecutionResult:
         network = self.topology.network
         stats = self.recovery_stats
         base = self._baseline
@@ -810,7 +685,7 @@ class QueryExecutor:
             retries=stats.retries.value,
             replans=stats.replans.value,
             wasted_work_pages=stats.wasted_work_pages.value,
-            time_to_recover=time_to_recover,
+            time_to_recover=stats.time_to_recover,
             faults_seen=stats.faults_seen.value,
             messages_dropped=network.messages_dropped - base["messages_dropped"],
             profile=profile,
@@ -825,12 +700,13 @@ class QueryExecutor:
 
 @dataclass(frozen=True)
 class SessionResult:
-    """Outcome of one query session in a multi-client workload.
+    """Outcome of one session (a query or a write) in a multi-client workload.
 
     ``status`` is ``"completed"``, ``"shed"`` (rejected by a server's
     admission controller), or ``"failed"`` (a fault exhausted recovery).
     ``queue_delay`` is the total simulated time the session spent waiting
-    in admission queues, already included in ``response_time``.
+    in admission queues, already included in ``response_time``; a shed
+    session counts the waits that preceded its rejection.
     """
 
     session_id: str
@@ -852,94 +728,139 @@ class SessionResult:
     #: Pages resident in this session's client cache at completion
     #: (dynamic buffer cache or static prefix total).
     cache_resident_pages: int = 0
+    #: Pages produced by attempts that a fault aborted (next to ``retries``
+    #: and ``replans``, as in :class:`ExecutionResult`).
+    wasted_work_pages: int = 0
 
 
-class QuerySession:
-    """One query in flight on a shared simulated system.
+class Session:
+    """One query or write statement in flight on a simulated system.
 
-    The session binds its (shared, annotated) plan to its own client site,
-    passes the resulting server set through the admission controllers, and
-    drives the physical plan as a simulated process -- so concurrent
-    sessions contend for the server CPUs, disks, and the network exactly
-    like the single-query path does for one query.  With a recovery policy
-    (or an active fault injector) each session runs its own bounded
-    retry/replan loop; failures stay contained in the session's
-    :class:`SessionResult` instead of tearing down the whole workload.
+    The session passes the servers its work touches through the admission
+    controllers, builds the physical root, and drives it as a simulated
+    process -- so concurrent sessions contend for the server CPUs, disks,
+    and the network exactly like a lone query, which is itself a
+    one-client session (see :meth:`QueryExecutor.execute`).
+
+    ``work`` is a plan (annotated or bound) for a query, or a
+    :class:`WriteSpec` for a write.  ``admission`` maps server site ids to
+    admission controllers (see :class:`repro.workload.AdmissionController`);
+    ``client_site`` pins the session's client-side operators to one of the
+    topology's client sites (0, -1, -2, ...); ``recovery`` defaults to the
+    executor's policy.  The caller spawns :meth:`run` as a simulated
+    process.  Queries and writes differ only in four hooks:
+
+    * the servers that take admission tickets -- every server of the bound
+      plan, or every holder of a copy of the written relation (writes
+      occupy the primary *and* the replicas they propagate to);
+    * how the root is built -- :meth:`QueryExecutor.build_physical`, or
+      :func:`make_write_iterator`, which resolves the acting primary anew
+      on every attempt, so a write fails over onto a surviving replica;
+    * whether a fault may trigger a replan -- annotated plans only;
+    * whether the session memo is consulted -- queries only.
+
+    Every attempt is counted in :attr:`stats`.  Failures stay contained in
+    the :class:`SessionResult` instead of tearing down the whole workload.
     """
 
     def __init__(
         self,
         executor: QueryExecutor,
-        plan: "DisplayOp | BoundPlan",
+        work: "DisplayOp | BoundPlan | WriteSpec",
         client_site: int = CLIENT_SITE_ID,
         admission: "typing.Mapping[int, typing.Any] | None" = None,
         session_id: str = "q0",
         recovery: RecoveryPolicy | None = None,
+        jitter_stream: str | None = None,
     ) -> None:
         self.executor = executor
-        self.plan = plan
+        self.work = work
         self.client_site = client_site
         self.admission = dict(admission or {})
         self.session_id = session_id
-        self.recovery = recovery
+        self.recovery = recovery if recovery is not None else executor.recovery
+        #: Seed of the backoff-jitter RNG; per session unless given.
+        self.jitter_stream = jitter_stream or f"{executor.seed}:{session_id}:recovery"
+        self.stats = RecoveryStats()
         self.submitted = 0.0
         self.queue_delay = 0.0
-        self.retries = 0
-        self.replans = 0
+        #: Root of the attempt that completed (None after a memo replay).
+        self.root: PhysicalOp | None = None
+        #: Why the session was shed or failed (None once it completed).
+        self.error: QueryShedError | TransientFaultError | None = None
         self._pages_before = 0
 
     def run(self) -> typing.Generator:
-        """Simulation process: run the query to a :class:`SessionResult`.
+        """Simulation process: run the work to a :class:`SessionResult`.
 
         Never raises into the environment -- shedding and exhausted
-        recovery become terminal statuses so one query's fate cannot crash
-        its neighbours' processes.
+        recovery become terminal statuses (the exception is kept on
+        :attr:`error`) so one session's fate cannot crash its neighbours'
+        processes.
         """
-        env = self.executor.env
-        self.submitted = env.now
-        self._pages_before = self.executor.topology.network.data_pages_sent
+        executor = self.executor
+        self.submitted = executor.env.now
+        self._pages_before = executor.topology.network.data_pages_sent
         try:
-            if self.recovery is not None or self.executor.fault_tolerant:
-                tuples, servers = yield from self._run_with_recovery()
-            else:
-                tuples, servers = yield from self._run_once()
+            tuples, target = yield from self._attempts()
         except QueryShedError as exc:
-            return self._result("shed", 0, (), error=exc)
+            self.error = exc
+            return self._result("shed")
         except TransientFaultError as exc:
-            return self._result("failed", 0, (), error=exc)
-        return self._result("completed", tuples, servers)
+            self.error = exc
+            return self._result("failed")
+        return self._result("completed", tuples, self._servers(target))
+
+    # ------------------------------------------------------------------
+    # Hooks: where queries and writes differ
+    # ------------------------------------------------------------------
+    def _target(self, work: "DisplayOp | BoundPlan | WriteSpec") -> "BoundPlan | WriteSpec":
+        """What one attempt runs: the plan bound to this client, or the write."""
+        if isinstance(work, DisplayOp):
+            return bind_plan(work, self.executor.catalog, client_site=self.client_site)
+        return work
+
+    def _servers(self, target: "BoundPlan | WriteSpec") -> tuple[int, ...]:
+        """The servers an attempt occupies, in id order."""
+        if isinstance(target, WriteSpec):
+            return tuple(sorted(self.executor.catalog.servers_of(target.relation)))
+        return tuple(sorted(sid for sid in target.sites_used() if sid >= 1))
+
+    def _build(
+        self, target: "BoundPlan | WriteSpec", context: ExecutionContext
+    ) -> PhysicalOp:
+        executor = self.executor
+        if not isinstance(target, WriteSpec):
+            return executor.build_physical(target, context)
+        site = executor.topology.site(self.client_site)
+        root = make_write_iterator(context, site, target)
+        root.label = f"{target.kind}[{target.relation}]@{site.name}"
+        return root
 
     # ------------------------------------------------------------------
     # Attempt plumbing
     # ------------------------------------------------------------------
-    def _bind(self, plan: "DisplayOp | BoundPlan") -> BoundPlan:
-        if isinstance(plan, BoundPlan):
-            return plan
-        return bind_plan(plan, self.executor.catalog, client_site=self.client_site)
-
-    @staticmethod
-    def _servers_of(bound: BoundPlan) -> tuple[int, ...]:
-        return tuple(sorted(sid for sid in bound.sites_used() if sid >= 1))
-
-    def _acquire(self, bound: BoundPlan) -> typing.Generator:
+    def _acquire(self, target: "BoundPlan | WriteSpec") -> typing.Generator:
         """Take one admission ticket per controlled server, in id order.
 
-        Acquiring in sorted server-id order makes multi-server queries
+        Acquiring in sorted server-id order makes multi-server sessions
         deadlock-free (no two sessions ever hold tickets in opposite
-        orders).  A shed releases every ticket already held and re-raises.
+        orders).  A shed releases every ticket already held and re-raises;
+        the time queued before it still counts toward :attr:`queue_delay`.
         """
         env = self.executor.env
         waited_from = env.now
         tickets: list[typing.Any] = []
-        for sid in sorted(sid for sid in bound.sites_used() if sid in self.admission):
-            try:
-                ticket = yield from self.admission[sid].admit(self.session_id)
-            except QueryShedError:
-                for held in tickets:
-                    held.release()
-                raise
-            tickets.append(ticket)
-        self.queue_delay += env.now - waited_from
+        try:
+            for sid in self._servers(target):
+                if sid in self.admission:
+                    ticket = yield from self.admission[sid].admit(self.session_id)
+                    tickets.append(ticket)
+        except QueryShedError:
+            self._release(tickets)
+            raise
+        finally:
+            self.queue_delay += env.now - waited_from
         return tickets
 
     @staticmethod
@@ -947,321 +868,141 @@ class QuerySession:
         for ticket in tickets:
             ticket.release()
 
-    def _run_once(self) -> typing.Generator:
-        """Single-attempt path (no faults, no recovery policy).
+    def _attempts(self) -> typing.Generator:
+        """Run the work to completion; returns ``(result tuples, target)``.
 
-        With a session memoizer attached (workload runs), a submission
-        whose memo key -- plan identity, exact client cache state,
-        consistency epoch -- matches an already-completed session *replays*
-        that session's recorded primitive ops against the live hardware
-        instead of re-interpreting the operator tree.  Admission, binding,
-        and every resource interaction stay real, so timing under
-        contention is identical; only the per-event Python work shrinks.
+        Without a fault injector or a recovery policy there is exactly one
+        *unsupervised* attempt, driven inline in this process (see
+        :meth:`_run_inline`).  Otherwise each attempt is spawned under
+        supervision and raced against its fault event and the timeout.  A
+        failed attempt gives back its tickets, grants and temp extents, is
+        counted and traced, and is followed -- within the attempt budget --
+        by a jittered backoff and, for annotated plans, a replan around
+        crashed sites.  The timeout is measured from *submission*, so time
+        spent in admission queues uses up budget: queueing delay is part of
+        the response time the client experiences.
         """
         executor = self.executor
-        bound = self._bind(self.plan)
-        tickets = yield from self._acquire(bound)
-        memo = executor.session_memo
-        entry = None if memo is None else memo.begin(self.plan, self.client_site)
+        work = self.work
+        if self.recovery is None and not executor.fault_tolerant:
+            target = self._target(work)
+            return (yield from self._run_inline(target)), target
+        env = executor.env
+        recovery = self.recovery or RecoveryPolicy()
+        stats = self.stats
+        rng = random.Random(self.jitter_stream)
+        deadline = (
+            None
+            if recovery.query_timeout is None
+            else self.submitted + recovery.query_timeout
+        )
+        attempt = 0
+        while True:
+            attempt += 1
+            target = self._target(work)
+            tickets = yield from self._acquire(target)
+            context = executor.new_context(supervised=True)
+            root = self._build(target, context)
+            consumer = context.spawn(
+                executor._drive(root), name=f"{self.session_id}#{attempt}"
+            )
+            assert context.fault_event is not None
+            watchers: list[Event] = [consumer, context.fault_event]
+            if deadline is not None:
+                watchers.append(env.timeout(max(0.0, deadline - env.now)))
+            failure: TransientFaultError | None = None
+            try:
+                yield AnyOf(env, watchers)
+            except QueryShedError:
+                # Shedding (say, a static buffer pool exhausted deep in an
+                # exchange subtree) is a load-control verdict, not a fault:
+                # give everything back and let the caller see it.
+                self._release(tickets)
+                context.abort()
+                raise
+            except TransientFaultError as exc:
+                failure = exc
+            self._release(tickets)
+            if failure is None:
+                if consumer.triggered and consumer.ok:
+                    stats.record_success(env.now)
+                    context.finish()
+                    self.root = root
+                    return root.tuples_produced, target
+                failure = QueryTimeoutError(
+                    f"{self.session_id} timed out after {recovery.query_timeout}s "
+                    f"(attempt {attempt})"
+                )
+            stats.record_fault(env.now)
+            stats.wasted_work_pages.add(context.pages_produced())
+            context.abort()
+            tracer = env.tracer
+            if tracer is not None:
+                tracer.instant(
+                    "attempt-failed",
+                    cat="fault",
+                    args={"attempt": attempt, "error": str(failure)},
+                )
+            if deadline is not None and env.now >= deadline:
+                if not isinstance(failure, QueryTimeoutError):
+                    failure = QueryTimeoutError(
+                        f"{self.session_id} timed out after {recovery.query_timeout}s "
+                        f"while recovering from: {failure}"
+                    )
+                raise failure
+            if attempt >= recovery.max_attempts:
+                raise failure
+            stats.retries.add()
+            if tracer is not None:
+                tracer.instant("retry", cat="fault", args={"attempt": attempt + 1})
+            yield env.timeout(recovery.backoff(attempt, rng))
+            if recovery.replan and isinstance(work, DisplayOp):
+                replanned = executor._replan(work, client_site=self.client_site)
+                if replanned is not None:
+                    work = replanned
+                    stats.replans.add()
+
+    def _run_inline(self, target: "BoundPlan | WriteSpec") -> typing.Generator:
+        """The fault-free attempt, in this process; returns the result tuples.
+
+        With a session memoizer attached (workload runs), a query whose
+        memo key -- plan identity, exact client cache state, consistency
+        epoch -- matches an already-completed session *replays* that
+        session's recorded primitive ops against the live hardware instead
+        of re-interpreting the operator tree.  Admission, binding, and
+        every resource interaction stay real, so timing under contention
+        is identical; only the per-event Python work shrinks.
+        """
+        executor = self.executor
+        tickets = yield from self._acquire(target)
+        memo = None if isinstance(target, WriteSpec) else executor.session_memo
+        entry = None if memo is None else memo.begin(self.work, self.client_site)
         if entry is not None and entry.tape is not None:
             try:
-                tuples = yield from memo.replay(entry.tape, self.client_site)
+                return (yield from memo.replay(entry.tape, self.client_site))
             finally:
                 self._release(tickets)
-            return tuples, self._servers_of(bound)
-        context = ExecutionContext(
-            executor.env, executor.topology, executor.catalog,
-            executor.query, executor.estimator,
-        )
+        context = executor.new_context()
         recording = None if entry is None else memo.start_recording(entry)
-        root = executor.build_physical(bound, context)
+        root = self._build(target, context)
         try:
             yield from executor._drive(root)
-        except (QueryShedError, TransientFaultError):
+        except BaseException as exc:
             if recording is not None:
                 memo.discard(recording)
-            context.abort()
-            raise
-        except BaseException:
-            if recording is not None:
-                memo.discard(recording)
+            if isinstance(exc, (QueryShedError, TransientFaultError)):
+                context.abort()
             raise
         finally:
             self._release(tickets)
             context.finish()
         if recording is not None:
-            memo.commit(recording, root.result_tuples)
-        return root.result_tuples, self._servers_of(bound)
-
-    def _run_with_recovery(self) -> typing.Generator:
-        """Per-session recovery loop (mirrors the single-query loop).
-
-        The query timeout is measured from *submission*, so a session that
-        spent long in admission queues has less budget left -- queueing
-        delay is part of the response time the client experiences.
-        """
-        executor = self.executor
-        env = executor.env
-        recovery = self.recovery or RecoveryPolicy()
-        rng = random.Random(f"{executor.seed}:{self.session_id}:recovery")
-        if isinstance(self.plan, BoundPlan):
-            annotated: DisplayOp | None = None
-            prebound: BoundPlan | None = self.plan
-        else:
-            annotated = self.plan
-            prebound = None
-        deadline = (
-            None
-            if recovery.query_timeout is None
-            else self.submitted + recovery.query_timeout
-        )
-        attempt = 0
-        while True:
-            attempt += 1
-            bound = prebound if annotated is None else self._bind(annotated)
-            assert bound is not None
-            tickets = yield from self._acquire(bound)
-            context = ExecutionContext(
-                env, executor.topology, executor.catalog,
-                executor.query, executor.estimator, supervised=True,
-            )
-            root = executor.build_physical(bound, context)
-            consumer = context.spawn(
-                executor._drive(root), name=f"session-{self.session_id}#{attempt}"
-            )
-            assert context.fault_event is not None
-            watchers: list[Event] = [consumer, context.fault_event]
-            if deadline is not None:
-                watchers.append(env.timeout(max(0.0, deadline - env.now)))
-            failure: TransientFaultError | None = None
-            try:
-                yield AnyOf(env, watchers)
-            except QueryShedError:
-                # A mid-run shed (static buffer-pool exhaustion surfaced
-                # through supervision) must give back tickets, grants, and
-                # temp extents before the session records its fate --
-                # admission tickets used to leak here.
-                self._release(tickets)
-                context.abort()
-                raise
-            except TransientFaultError as exc:
-                failure = exc
-            self._release(tickets)
-            if failure is None:
-                if consumer.triggered and consumer.ok:
-                    context.finish()
-                    return root.result_tuples, self._servers_of(bound)
-                failure = QueryTimeoutError(
-                    f"session {self.session_id} timed out after "
-                    f"{recovery.query_timeout}s (attempt {attempt})"
-                )
-            context.abort()
-            if deadline is not None and env.now >= deadline:
-                if not isinstance(failure, QueryTimeoutError):
-                    failure = QueryTimeoutError(
-                        f"session {self.session_id} timed out after "
-                        f"{recovery.query_timeout}s while recovering from: {failure}"
-                    )
-                raise failure
-            if attempt >= recovery.max_attempts:
-                raise failure
-            self.retries += 1
-            yield env.timeout(recovery.backoff(attempt, rng))
-            if recovery.replan and annotated is not None:
-                replanned = executor._replan(annotated, client_site=self.client_site)
-                if replanned is not None:
-                    annotated = replanned
-                    self.replans += 1
-
-    def _result(
-        self,
-        status: str,
-        result_tuples: int,
-        servers: tuple[int, ...],
-        error: Exception | None = None,
-    ) -> SessionResult:
-        executor = self.executor
-        env = executor.env
-        client = executor.topology.site(self.client_site)
-        if client.buffer_cache is not None:
-            resident = client.buffer_cache.resident_count
-        elif client.cache is not None:
-            resident = client.cache.total_cached_pages
-        else:
-            resident = 0
-        return SessionResult(
-            session_id=self.session_id,
-            client_site=self.client_site,
-            submitted=self.submitted,
-            completed=env.now,
-            response_time=env.now - self.submitted,
-            queue_delay=self.queue_delay,
-            status=status,
-            retries=self.retries,
-            replans=self.replans,
-            result_tuples=result_tuples,
-            error=None if error is None else str(error),
-            servers_used=tuple(servers),
-            pages_sent=executor.topology.network.data_pages_sent - self._pages_before,
-            cache_resident_pages=resident,
-        )
-
-
-class WriteSession:
-    """One write statement in flight on a shared simulated system.
-
-    Mirrors :class:`QuerySession` for the write path: admission tickets are
-    taken for every server holding a copy of the target relation (writes
-    occupy the primary *and* the replicas they propagate to), the physical
-    write operator is driven as a simulated process, and -- under a
-    recovery policy or an active fault injector -- a bounded retry loop
-    re-resolves the acting primary each attempt, so a write survives its
-    primary crashing by failing over to a reachable replica.
-    """
-
-    def __init__(
-        self,
-        executor: QueryExecutor,
-        spec: WriteSpec,
-        client_site: int = CLIENT_SITE_ID,
-        admission: "typing.Mapping[int, typing.Any] | None" = None,
-        session_id: str = "w0",
-        recovery: RecoveryPolicy | None = None,
-    ) -> None:
-        self.executor = executor
-        self.spec = spec
-        self.client_site = client_site
-        self.admission = dict(admission or {})
-        self.session_id = session_id
-        self.recovery = recovery
-        self.submitted = 0.0
-        self.queue_delay = 0.0
-        self.retries = 0
-        self._pages_before = 0
-
-    def run(self) -> typing.Generator:
-        """Simulation process: run the write to a :class:`SessionResult`."""
-        env = self.executor.env
-        self.submitted = env.now
-        self._pages_before = self.executor.topology.network.data_pages_sent
-        try:
-            if self.recovery is not None or self.executor.fault_tolerant:
-                tuples = yield from self._run_with_recovery()
-            else:
-                tuples = yield from self._run_once()
-        except QueryShedError as exc:
-            return self._result("shed", 0, error=exc)
-        except TransientFaultError as exc:
-            return self._result("failed", 0, error=exc)
-        return self._result("completed", tuples)
-
-    # ------------------------------------------------------------------
-    # Attempt plumbing
-    # ------------------------------------------------------------------
-    def _holders(self) -> tuple[int, ...]:
-        return tuple(sorted(self.executor.catalog.servers_of(self.spec.relation)))
-
-    def _acquire(self) -> typing.Generator:
-        """One admission ticket per controlled copy holder, in id order."""
-        env = self.executor.env
-        waited_from = env.now
-        tickets: list[typing.Any] = []
-        for sid in (s for s in self._holders() if s in self.admission):
-            try:
-                ticket = yield from self.admission[sid].admit(self.session_id)
-            except QueryShedError:
-                for held in tickets:
-                    held.release()
-                raise
-            tickets.append(ticket)
-        self.queue_delay += env.now - waited_from
-        return tickets
-
-    def _build(self, context: ExecutionContext):
-        site = self.executor.topology.site(self.client_site)
-        root = make_write_iterator(context, site, self.spec)
-        root.label = f"{self.spec.kind}[{self.spec.relation}]@{site.name}"
-        return root
-
-    def _run_once(self) -> typing.Generator:
-        executor = self.executor
-        tickets = yield from self._acquire()
-        context = ExecutionContext(
-            executor.env, executor.topology, executor.catalog,
-            executor.query, executor.estimator,
-        )
-        root = self._build(context)
-        try:
-            yield from executor._drive(root)
-        except (QueryShedError, TransientFaultError):
-            context.abort()
-            raise
-        finally:
-            QuerySession._release(tickets)
-            context.finish()
+            memo.commit(recording, root.tuples_produced)
+        self.root = root
         return root.tuples_produced
 
-    def _run_with_recovery(self) -> typing.Generator:
-        executor = self.executor
-        env = executor.env
-        recovery = self.recovery or RecoveryPolicy()
-        rng = random.Random(f"{executor.seed}:{self.session_id}:recovery")
-        deadline = (
-            None
-            if recovery.query_timeout is None
-            else self.submitted + recovery.query_timeout
-        )
-        attempt = 0
-        while True:
-            attempt += 1
-            tickets = yield from self._acquire()
-            context = ExecutionContext(
-                env, executor.topology, executor.catalog,
-                executor.query, executor.estimator, supervised=True,
-            )
-            # Built (and its acting primary resolved) fresh every attempt:
-            # retrying after a crash lands on a surviving copy.
-            root = self._build(context)
-            consumer = context.spawn(
-                executor._drive(root), name=f"write-{self.session_id}#{attempt}"
-            )
-            assert context.fault_event is not None
-            watchers: list[Event] = [consumer, context.fault_event]
-            if deadline is not None:
-                watchers.append(env.timeout(max(0.0, deadline - env.now)))
-            failure: TransientFaultError | None = None
-            try:
-                yield AnyOf(env, watchers)
-            except QueryShedError:
-                QuerySession._release(tickets)
-                context.abort()
-                raise
-            except TransientFaultError as exc:
-                failure = exc
-            QuerySession._release(tickets)
-            if failure is None:
-                if consumer.triggered and consumer.ok:
-                    context.finish()
-                    return root.tuples_produced
-                failure = QueryTimeoutError(
-                    f"write {self.session_id} timed out after "
-                    f"{recovery.query_timeout}s (attempt {attempt})"
-                )
-            context.abort()
-            if deadline is not None and env.now >= deadline:
-                if not isinstance(failure, QueryTimeoutError):
-                    failure = QueryTimeoutError(
-                        f"write {self.session_id} timed out after "
-                        f"{recovery.query_timeout}s while recovering from: {failure}"
-                    )
-                raise failure
-            if attempt >= recovery.max_attempts:
-                raise failure
-            self.retries += 1
-            yield env.timeout(recovery.backoff(attempt, rng))
-
     def _result(
-        self, status: str, result_tuples: int, error: Exception | None = None
+        self, status: str, result_tuples: int = 0, servers: tuple[int, ...] = ()
     ) -> SessionResult:
         executor = self.executor
         env = executor.env
@@ -1272,6 +1013,7 @@ class WriteSession:
             resident = client.cache.total_cached_pages
         else:
             resident = 0
+        stats = self.stats
         return SessionResult(
             session_id=self.session_id,
             client_site=self.client_site,
@@ -1280,11 +1022,12 @@ class WriteSession:
             response_time=env.now - self.submitted,
             queue_delay=self.queue_delay,
             status=status,
-            retries=self.retries,
-            replans=0,
+            retries=stats.retries.value,
+            replans=stats.replans.value,
             result_tuples=result_tuples,
-            error=None if error is None else str(error),
-            servers_used=self._holders() if status == "completed" else (),
+            error=None if self.error is None else str(self.error),
+            servers_used=servers,
             pages_sent=executor.topology.network.data_pages_sent - self._pages_before,
             cache_resident_pages=resident,
+            wasted_work_pages=stats.wasted_work_pages.value,
         )

@@ -10,7 +10,7 @@ This is only a *stand-in* for other clients' traffic: a featureless Poisson
 stream of random reads at the server disk.  Actual multiple clients -- each
 with its own site, disk cache, query stream, and admission-control
 interaction -- are modelled by :mod:`repro.workload`, which runs concurrent
-:class:`~repro.engine.executor.QuerySession`\\ s on one shared system.
+:class:`~repro.engine.executor.Session`\\ s on one shared system.
 
 Arrivals are Poisson and open (the generator does not wait for completions),
 so query I/O and load I/O genuinely contend in the disk queue.

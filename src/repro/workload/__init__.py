@@ -6,7 +6,7 @@ execution policy sustain as concurrent clients are added, and what happens
 to the response-time tail on the way?  It reuses the whole single-query
 stack -- one shared :class:`~repro.sim.Environment` and
 :class:`~repro.hardware.topology.Topology` now host many
-:class:`~repro.engine.executor.QuerySession`\\ s at once, throttled by
+:class:`~repro.engine.executor.Session`\\ s at once, throttled by
 per-server admission controllers.
 
 Entry points: :func:`repro.api.run_workload` for one workload point, the

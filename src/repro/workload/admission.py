@@ -15,7 +15,7 @@ A shed query surfaces as :class:`~repro.errors.QueryShedError` and becomes a
 recovery loop never burns retries on a deliberate rejection.
 
 Multi-server queries acquire one ticket per participating server in sorted
-server-id order (see ``QuerySession._acquire``), which makes the scheme
+server-id order (see ``Session._acquire``), which makes the scheme
 deadlock-free without any global lock manager.
 """
 

@@ -159,7 +159,7 @@ class SessionMemo:
     """Recorder + replayer of whole workload sessions (see module docs).
 
     One instance serves a whole workload run: it is installed as the
-    executor's ``session_memo`` (so :meth:`QuerySession._run_once` can probe
+    executor's ``session_memo`` (so :meth:`Session._run_inline` can probe
     and commit) and installs *itself* as ``env.recorder`` exactly while at
     least one recording is in flight -- in the replay-heavy steady state the
     hardware hooks see ``recorder is None`` and cost one attribute read.
@@ -198,7 +198,7 @@ class SessionMemo:
         self._recording_count = 0
 
     # ------------------------------------------------------------------
-    # Session surface (called by QuerySession._run_once)
+    # Session surface (called by Session._run_inline)
     # ------------------------------------------------------------------
     def begin(self, plan: typing.Any, client_site: int) -> _Entry:
         """Compute the memo key for a submission; include any stored tape."""

@@ -97,6 +97,8 @@ class WorkloadResult:
     ) -> "WorkloadResult":
         done = [s for s in sessions if s.status == "completed"]
         times = [s.response_time for s in done]
+        retries = sum(s.retries for s in sessions)
+        replans = sum(s.replans for s in sessions)
         histogram = StreamingHistogram()
         histogram.record_all(times)
         return cls(
@@ -116,14 +118,20 @@ class WorkloadResult:
             mean_queue_delay=(
                 sum(s.queue_delay for s in done) / len(done) if done else 0.0
             ),
-            total_retries=sum(s.retries for s in sessions),
-            total_replans=sum(s.replans for s in sessions),
+            total_retries=retries,
+            total_replans=replans,
             admission=admission,
             cpu_utilizations=dict(cpu_utilizations or {}),
             disk_utilizations=dict(disk_utilizations or {}),
             network_utilization=network_utilization,
             sessions=tuple(sessions),
-            profile=dict(profile or {}),
+            profile={
+                **(profile or {}),
+                # The recovery keys ExecutionResult.profile carries too.
+                "recovery.retries": retries,
+                "recovery.replans": replans,
+                "recovery.wasted_work_pages": sum(s.wasted_work_pages for s in sessions),
+            },
             telemetry=telemetry,
         )
 

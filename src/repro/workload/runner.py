@@ -28,12 +28,7 @@ from repro.caching.config import CacheConfig
 from repro.config import OptimizerConfig
 from repro.consistency import ConsistencyConfig, make_protocol
 from repro.costmodel.model import EnvironmentState, Objective
-from repro.engine.executor import (
-    QueryExecutor,
-    QuerySession,
-    SessionResult,
-    WriteSession,
-)
+from repro.engine.executor import QueryExecutor, Session, SessionResult
 from repro.engine.writes import WRITE_KINDS, WriteSpec
 from repro.errors import ConfigurationError
 from repro.faults.recovery import RecoveryPolicy
@@ -45,7 +40,6 @@ from repro.optimizer.two_phase import RandomizedOptimizer
 from repro.plans.operators import DisplayOp
 from repro.plans.policies import Policy
 from repro.sim import AllOf, Environment
-from repro.storage.memory import MemoryPressureState
 from repro.workload.admission import AdmissionConfig, AdmissionController
 from repro.workload.memo import SessionMemo
 from repro.workload.results import WorkloadResult
@@ -176,41 +170,6 @@ class WorkloadRunner:
             plans[ordinal] = by_view[key]
         return plans
 
-    def _optimize_dynamic(
-        self, topology: Topology, ordinal: int, plan_cache: "PlanCache"
-    ) -> DisplayOp:
-        """Plan one session against its client's *current* cache contents.
-
-        Called at submission time, so a stream's later queries see the
-        pages its earlier queries faulted in -- the cache-aware feedback
-        loop.  The cache state's digest keys the plan cache: a stable
-        resident set keeps hitting, a changed one re-plans.
-        """
-        site = topology.site(client_site_id(ordinal))
-        assert site.buffer_cache is not None
-        state = site.buffer_cache.snapshot()
-        environment = EnvironmentState(
-            self.scenario.catalog,
-            topology.config,
-            dict(self.scenario.server_loads),
-            cache_state=state,
-            memory_pressure=(
-                MemoryPressureState.capture(topology.sites)
-                if topology.config.memory.is_dynamic
-                else None
-            ),
-        )
-        return RandomizedOptimizer(
-            self.scenario.query,
-            environment,
-            policy=self.policy,
-            objective=self.objective,
-            config=self.optimizer_config,
-            seed=self.seed,
-            plan_cache=plan_cache,
-            cache_digest=state.digest(),
-        ).optimize().plan
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -306,20 +265,22 @@ class WorkloadRunner:
 
             sampler = TelemetrySampler(env, topology.metrics, self.telemetry)
 
-        def launch(ordinal: int, index: int) -> QuerySession:
-            if dynamic:
-                assert plan_cache is not None
-                plan = self._optimize_dynamic(topology, ordinal, plan_cache)
-            else:
-                plan = plans[ordinal]
-            return executor.session(
+        def launch(ordinal: int, index: int) -> Session:
+            site = client_site_id(ordinal)
+            # Dynamic caches plan each session at submission, against its
+            # client's *current* contents: a stream's later queries see the
+            # pages its earlier queries faulted in, the cache-aware
+            # feedback loop.
+            plan = executor.optimize_for(site) if dynamic else plans[ordinal]
+            return Session(
+                executor,
                 plan,
-                client_site=client_site_id(ordinal),
+                client_site=site,
                 admission=controllers,
                 session_id=f"c{ordinal}q{index}",
             )
 
-        def launch_write(ordinal: int, index: int, rng: random.Random) -> WriteSession:
+        def launch_write(ordinal: int, index: int, rng: random.Random) -> Session:
             relation = rng.choice(scenario.catalog.relation_names)
             kind = rng.choice(WRITE_KINDS)
             total = scenario.catalog.relation(relation).pages(config)
@@ -329,7 +290,8 @@ class WorkloadRunner:
                 pages = tuple(range(total - count, total))
             else:
                 pages = tuple(sorted(rng.sample(range(total), count)))
-            return executor.write_session(
+            return Session(
+                executor,
                 WriteSpec(kind, relation, pages),
                 client_site=client_site_id(ordinal),
                 admission=controllers,

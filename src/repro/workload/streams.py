@@ -27,7 +27,7 @@ from repro.hardware.site import client_site_id
 from repro.sim import AllOf
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.executor import QuerySession, SessionResult, WriteSession
+    from repro.engine.executor import Session, SessionResult
     from repro.sim import Environment, Process
 
 __all__ = ["ClientStream", "StreamConfig"]
@@ -75,9 +75,9 @@ class StreamConfig:
 class ClientStream:
     """One client's query-issuing process on the shared environment.
 
-    ``launch(ordinal, index)`` must return a fresh
-    :class:`~repro.engine.executor.QuerySession` for that client's
-    ``index``-th query; the stream decides *when* to start it and collects
+    ``launch(ordinal, index)`` must return a fresh query
+    :class:`~repro.engine.executor.Session` for that client's
+    ``index``-th submission; the stream decides *when* to start it and collects
     the :class:`~repro.engine.executor.SessionResult`\\ s in submission
     order.
 
@@ -95,10 +95,8 @@ class ClientStream:
         ordinal: int,
         config: StreamConfig,
         seed: int,
-        launch: typing.Callable[[int, int], "QuerySession"],
-        launch_write: (
-            "typing.Callable[[int, int, random.Random], WriteSession] | None"
-        ) = None,
+        launch: typing.Callable[[int, int], "Session"],
+        launch_write: "typing.Callable[[int, int, random.Random], Session] | None" = None,
     ) -> None:
         self.env = env
         self.ordinal = ordinal
@@ -125,7 +123,7 @@ class ClientStream:
         else:
             yield from self._run_closed()
 
-    def _session(self, index: int) -> "QuerySession | WriteSession":
+    def _session(self, index: int) -> "Session":
         """The session filling submission slot ``index``: query or write."""
         rng = self._writer_rng
         if rng is not None and rng.random() < self.config.write_fraction:

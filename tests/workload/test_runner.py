@@ -103,22 +103,28 @@ class TestAdmission:
 
 class TestSingleClientParity:
     def test_closed_zero_think_matches_run_query(self):
-        workload = api.run_workload(
-            policy="ds",
-            num_clients=1,
-            arrival="closed",
-            think_time=0.0,
-            queries_per_client=1,
-            cached_fraction=0.5,
-            admission=None,
-            seed=3,
-            cache="static",  # run_query simulates the static prefix model
-        )
-        single = api.run_query(policy="ds", cached_fraction=0.5, seed=3)
-        assert workload.completed == 1
-        assert workload.sessions[0].response_time == pytest.approx(
-            single.result.response_time
-        )
+        """A lone query is a one-client session: a one-client closed
+        zero-think workload reproduces it exactly, not approximately."""
+        for policy in ("ds", "qs", "hy"):
+            for seed in (1, 3, 7):
+                workload = api.run_workload(
+                    policy=policy,
+                    num_clients=1,
+                    arrival="closed",
+                    think_time=0.0,
+                    queries_per_client=1,
+                    cached_fraction=0.5,
+                    admission=None,
+                    seed=seed,
+                    cache="static",  # run_query simulates the static prefix model
+                )
+                single = api.run_query(policy=policy, cached_fraction=0.5, seed=seed)
+                assert workload.completed == 1
+                session = workload.sessions[0]
+                expected = single.result
+                assert session.response_time == expected.response_time, (policy, seed)
+                assert session.pages_sent == expected.pages_sent, (policy, seed)
+                assert session.result_tuples == expected.result_tuples, (policy, seed)
 
 
 class TestPerClientCaches:

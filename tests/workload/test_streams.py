@@ -7,7 +7,7 @@ from repro.workload import ClientStream, StreamConfig
 
 
 class StubSession:
-    """A fake QuerySession that runs for a fixed simulated duration."""
+    """A fake Session that runs for a fixed simulated duration."""
 
     def __init__(self, env, ordinal, index, duration, log):
         self.env = env
