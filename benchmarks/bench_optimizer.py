@@ -23,13 +23,12 @@ Writes machine-readable ``results/BENCH_optimizer.json``.
 """
 
 import json
-import os
 import time
 
 from conftest import CACHE_FRACTIONS, SEEDS
 
 from repro.config import BufferAllocation, OptimizerConfig
-from repro.costmodel.model import Objective
+from repro.costmodel.model import CostModel, Objective
 from repro.experiments.figures import figure2
 from repro.experiments.runner import RunSettings
 from repro.optimizer import PlanCache, RandomizedOptimizer
@@ -40,7 +39,7 @@ from repro.workloads.scenarios import chain_scenario
 POLICIES = (Policy.DATA_SHIPPING, Policy.QUERY_SHIPPING, Policy.HYBRID_SHIPPING)
 
 
-def _optimization_sweep(cache):
+def _optimization_sweep(cache, incremental):
     """Optimize every Figure-2 grid point; return (plans, evals, visits)."""
     plans = []
     evaluations = 0
@@ -65,6 +64,10 @@ def _optimization_sweep(cache):
                     seed=seed,
                     plan_cache=cache,
                 )
+                if not incremental:
+                    optimizer.cost_model = CostModel(
+                        scenario.query, environment, incremental=False
+                    )
                 result = optimizer.optimize()
                 plans.append((result.plan, result.cost))
                 evaluations += result.evaluations
@@ -72,13 +75,13 @@ def _optimization_sweep(cache):
     return plans, evaluations, node_visits
 
 
-def _timed_sweep(cache):
+def _timed_sweep(cache, incremental):
     start = time.perf_counter()
     plans = []
     evaluations = 0
     node_visits = 0
     for _ in range(2):  # the figure suite revisits its grid points
-        pass_plans, pass_evals, pass_visits = _optimization_sweep(cache)
+        pass_plans, pass_evals, pass_visits = _optimization_sweep(cache, incremental)
         plans.extend(pass_plans)
         evaluations += pass_evals
         node_visits += pass_visits
@@ -104,15 +107,11 @@ def _workload_cache_stats():
 
 
 def test_optimizer_throughput(benchmark, results_dir):
-    os.environ["REPRO_COSTMODEL_FULL"] = "1"
-    try:
-        baseline_plans, baseline = _timed_sweep(None)
-    finally:
-        del os.environ["REPRO_COSTMODEL_FULL"]
+    baseline_plans, baseline = _timed_sweep(None, incremental=False)
 
     cache = PlanCache()
     optimized_plans, optimized = benchmark.pedantic(
-        lambda: _timed_sweep(cache), rounds=1, iterations=1
+        lambda: _timed_sweep(cache, incremental=True), rounds=1, iterations=1
     )
     optimized["cache"] = {
         "hits": cache.stats.hits,

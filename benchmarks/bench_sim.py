@@ -10,9 +10,8 @@ benchmark measures that rate on two representative loads:
 - a 16-client closed workload with admission control: the contended shape
   of the throughput/consistency sweeps, and
 - a 100-client closed workload: the "hundreds of clients" scale the
-  paper's Section 5 saturation arguments need, tractable in CI only
-  because of the batched-shipping / event-loop / session-memoization
-  fast paths.
+  paper's Section 5 saturation arguments need, tractable in CI because
+  of the batched-shipping and event-loop fast paths.
 
 It also gates the telemetry sampler's zero-overhead claim: the same
 Figure-2 pass with sampling on must produce **identical** results

@@ -246,29 +246,6 @@ class BufferCache:
     def digest(self) -> str:
         return self.snapshot().digest()
 
-    def memo_digest(self) -> str:
-        """Digest of the *full* behavioural state, for session memoization.
-
-        :meth:`digest` deliberately covers only capacity and per-relation
-        residency (enough for the plan cache); a recorded op tape replays
-        correctly only against a cache that will answer every lookup and
-        elect every victim identically, so this digest folds in the exact
-        slot map, version stamps, free list, and replacement-policy state.
-        Demand counters and the eviction history are excluded on purpose: they
-        are history, and have no effect on future behaviour.
-        """
-        state = (
-            self.capacity_pages,
-            self.policy_name,
-            self.admit_on_fault,
-            tuple(sorted(self._slots.items())),
-            tuple(sorted(self._versions.items())),
-            self._next_slot,
-            tuple(self._free),
-            self._policy.state_token(),
-        )
-        return hashlib.sha256(repr(state).encode()).hexdigest()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<BufferCache {self.policy_name} resident={len(self._slots)}"

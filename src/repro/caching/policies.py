@@ -16,7 +16,6 @@ ship.
 
 from __future__ import annotations
 
-import typing
 from collections import OrderedDict
 
 from repro.errors import ConfigurationError
@@ -55,16 +54,6 @@ class ReplacementPolicy:
         """Forget a key without electing it (consistency invalidation)."""
         raise NotImplementedError
 
-    def state_token(self) -> typing.Hashable:
-        """Canonical token of the policy's full mutable state.
-
-        Two policies with equal tokens produce identical victim sequences
-        for any future reference stream; the session memoizer folds this
-        into its cache digest so a tape only replays against a cache whose
-        *behaviour* (not just residency) matches the recording.
-        """
-        raise NotImplementedError
-
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -95,9 +84,6 @@ class LRUPolicy(ReplacementPolicy):
 
     def discard(self, key: Key) -> None:
         self._order.pop(key, None)
-
-    def state_token(self) -> typing.Hashable:
-        return tuple(self._order)
 
     def __len__(self) -> int:
         return len(self._order)
@@ -163,9 +149,6 @@ class ClockPolicy(ReplacementPolicy):
         del self._ref[key]
         if index < self._hand:
             self._hand -= 1
-
-    def state_token(self) -> typing.Hashable:
-        return (tuple(self._ring), tuple(self._ref.items()), self._hand)
 
     def __len__(self) -> int:
         return len(self._ring)

@@ -46,11 +46,6 @@ class ConsistencyManager:
         #: Stale pages returned to a query.  Must stay 0; the read/write
         #: tests assert it (the protocols detect staleness instead).
         self.stale_served = 0
-        #: Monotonic commit counter, bumped once per :meth:`commit_write`.
-        #: The session memoizer folds it into its memo key so any committed
-        #: write (which may have shifted version stamps or cache contents
-        #: anywhere) conservatively invalidates every recorded tape.
-        self.epoch = 0
 
     def current_version(self, relation: str, page_index: int) -> int:
         return self.versions.version(relation, page_index)
@@ -112,7 +107,6 @@ class InvalidationProtocol(ConsistencyManager):
     ) -> typing.Generator:
         network = self.topology.network
         tracer = self.topology.env.tracer
-        self.epoch += 1
         for index in page_indexes:
             self.versions.bump(relation, index)
         span = None
@@ -157,7 +151,6 @@ class DetectionProtocol(ConsistencyManager):
     def commit_write(
         self, primary: "Site", relation: str, page_indexes: typing.Sequence[int]
     ) -> typing.Generator:
-        self.epoch += 1
         for index in page_indexes:
             self.versions.bump(relation, index)
         return

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import typing
 from dataclasses import dataclass, field
 
@@ -190,7 +189,7 @@ class CostModel:
         self,
         query: Query,
         environment: EnvironmentState,
-        incremental: bool | None = None,
+        incremental: bool = True,
     ) -> None:
         self.query = query
         self.environment = environment
@@ -214,9 +213,7 @@ class CostModel:
         # memoized by structural equality and scan-leaf contributions by
         # their (relation, site, interference) inputs.  Both replays are
         # bit-for-bit identical to the naive walk (asserted in tests);
-        # ``incremental=False`` (or REPRO_COSTMODEL_FULL=1) disables both.
-        if incremental is None:
-            incremental = os.environ.get("REPRO_COSTMODEL_FULL", "") != "1"
+        # ``incremental=False`` disables both.
         self._incremental = incremental
         self._full_walk = False
         self._plan_memo: dict[DisplayOp, PlanCost] = {}

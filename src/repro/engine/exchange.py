@@ -49,40 +49,25 @@ class ExchangeReceiver(PhysicalOp):
         label = f"{producer_site.name}->{consumer_site.name}"
         self.channel = Channel(context.env, capacity=1, name=f"xfer@{label}")
         self._staged = Channel(context.env, capacity=1, name=f"stage@{label}")
-        recorder = context.env.recorder
-        if recorder is not None:
-            # Register both channels with the session memoizer before the
-            # pump/ship spawns below, matching the replay interpreter's
-            # create-then-spawn order.
-            recorder.record_channel(self.channel)
-            recorder.record_channel(self._staged)
         self.pump_process = context.spawn(self._pump(), name=f"pump:{label}")
         self.ship_process = context.spawn(self._ship(), name=f"ship:{label}")
 
     def _pump(self) -> typing.Generator:
         """Drive the producer subtree, staging pages for transmission."""
-        recorder = self.context.env.recorder
         yield from self.child.open()
         while True:
             page = yield from self.child.next()
             if page is None:
                 break
-            if recorder is not None:
-                recorder.record_cput(self._staged)
             yield self._staged.put(page)
         yield from self.child.close()
-        if recorder is not None:
-            recorder.record_cclose(self._staged)
         self._staged.close()
 
     def _ship(self) -> typing.Generator:
         """Move staged pages across the network, one page ahead."""
         network = self.context.network
-        recorder = self.context.env.recorder
         page_size = self.config.page_size
         while True:
-            if recorder is not None:
-                recorder.record_cget(self._staged)
             try:
                 page = yield self._staged.get()
             except ChannelClosed:
@@ -101,11 +86,7 @@ class ExchangeReceiver(PhysicalOp):
                     yield from network.send_page(self.producer_site, self.site)
                 finally:
                     tracer.end(span)
-            if recorder is not None:
-                recorder.record_cput(self.channel)
             yield self.channel.put(page)
-        if recorder is not None:
-            recorder.record_cclose(self.channel)
         self.channel.close()
 
     def _open(self) -> typing.Generator:
@@ -114,9 +95,6 @@ class ExchangeReceiver(PhysicalOp):
         yield  # pragma: no cover
 
     def _next(self) -> typing.Generator:
-        recorder = self.context.env.recorder
-        if recorder is not None:
-            recorder.record_cget(self.channel)
         try:
             page: Page = yield self.channel.get()
         except ChannelClosed:

@@ -139,12 +139,6 @@ class ExecutionContext:
         if self.fault_event is not None:
             generator = self._supervise(generator)
         process = self.env.process(generator, name=name)
-        recorder = self.env.recorder
-        if recorder is not None:
-            # Register the child with the session memoizer: its primitive
-            # ops land on a new stream of the active recording, and the
-            # parent stream gets a spawn op at this exact point.
-            recorder.record_spawn(process, name)
         self.processes.append(process)
         return process
 
@@ -317,10 +311,6 @@ class QueryExecutor:
             from repro.obs.telemetry import TelemetrySampler
 
             self.sampler = TelemetrySampler(self.env, self.topology.metrics, telemetry)
-        # Session memoizer (workload runs only; see repro.workload.memo).
-        # The runner sets this after checking the eligibility gates; None
-        # keeps every session on the plain simulate-it path.
-        self.session_memo: typing.Any = None
         self._begin_execute()
 
     @property
@@ -748,7 +738,7 @@ class Session:
     ``client_site`` pins the session's client-side operators to one of the
     topology's client sites (0, -1, -2, ...); ``recovery`` defaults to the
     executor's policy.  The caller spawns :meth:`run` as a simulated
-    process.  Queries and writes differ only in four hooks:
+    process.  Queries and writes differ only in three hooks:
 
     * the servers that take admission tickets -- every server of the bound
       plan, or every holder of a copy of the written relation (writes
@@ -756,8 +746,7 @@ class Session:
     * how the root is built -- :meth:`QueryExecutor.build_physical`, or
       :func:`make_write_iterator`, which resolves the acting primary anew
       on every attempt, so a write fails over onto a surviving replica;
-    * whether a fault may trigger a replan -- annotated plans only;
-    * whether the session memo is consulted -- queries only.
+    * whether a fault may trigger a replan -- annotated plans only.
 
     Every attempt is counted in :attr:`stats`.  Failures stay contained in
     the :class:`SessionResult` instead of tearing down the whole workload.
@@ -784,7 +773,7 @@ class Session:
         self.stats = RecoveryStats()
         self.submitted = 0.0
         self.queue_delay = 0.0
-        #: Root of the attempt that completed (None after a memo replay).
+        #: Root of the attempt that completed (None until one does).
         self.root: PhysicalOp | None = None
         #: Why the session was shed or failed (None once it completed).
         self.error: QueryShedError | TransientFaultError | None = None
@@ -963,41 +952,19 @@ class Session:
                     stats.replans.add()
 
     def _run_inline(self, target: "BoundPlan | WriteSpec") -> typing.Generator:
-        """The fault-free attempt, in this process; returns the result tuples.
-
-        With a session memoizer attached (workload runs), a query whose
-        memo key -- plan identity, exact client cache state, consistency
-        epoch -- matches an already-completed session *replays* that
-        session's recorded primitive ops against the live hardware instead
-        of re-interpreting the operator tree.  Admission, binding, and
-        every resource interaction stay real, so timing under contention
-        is identical; only the per-event Python work shrinks.
-        """
+        """The fault-free attempt, in this process; returns the result tuples."""
         executor = self.executor
         tickets = yield from self._acquire(target)
-        memo = None if isinstance(target, WriteSpec) else executor.session_memo
-        entry = None if memo is None else memo.begin(self.work, self.client_site)
-        if entry is not None and entry.tape is not None:
-            try:
-                return (yield from memo.replay(entry.tape, self.client_site))
-            finally:
-                self._release(tickets)
         context = executor.new_context()
-        recording = None if entry is None else memo.start_recording(entry)
         root = self._build(target, context)
         try:
             yield from executor._drive(root)
-        except BaseException as exc:
-            if recording is not None:
-                memo.discard(recording)
-            if isinstance(exc, (QueryShedError, TransientFaultError)):
-                context.abort()
+        except (QueryShedError, TransientFaultError):
+            context.abort()
             raise
         finally:
             self._release(tickets)
             context.finish()
-        if recording is not None:
-            memo.commit(recording, root.tuples_produced)
         self.root = root
         return root.tuples_produced
 

@@ -373,9 +373,6 @@ class HashJoinIterator(PhysicalOp):
 
     def _await_writes(self) -> typing.Generator:
         if self._pending_writes:
-            recorder = self.env.recorder
-            if recorder is not None:
-                recorder.record_dwait_many(self._pending_writes)
             yield AllOf(self.env, self._pending_writes)
             self._pending_writes = []
 

@@ -113,10 +113,7 @@ class ScanIterator(PhysicalOp):
         buffer = self._buffer
         assert buffer is not None
         manager = self.context.topology.consistency
-        recorder = self.context.env.recorder
         page = buffer.lookup(self.relation, index)
-        if recorder is not None:
-            recorder.record_blook(self.relation, index, page)
         if page is not None:
             if manager is not None:
                 assert self._home_server is not None
@@ -143,8 +140,6 @@ class ScanIterator(PhysicalOp):
         yield from self._fault_from_server(index)
         if buffer.admit_on_fault:
             slot = buffer.admit(self.relation, index, version=version)
-            if recorder is not None:
-                recorder.record_badmit(self.relation, index, version, slot)
             if slot is not None:
                 yield from self.site.cpu.execute(self.config.disk_inst)
                 yield self.site.disk.write(slot)

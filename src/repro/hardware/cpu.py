@@ -37,9 +37,6 @@ class CPU:
             raise ValueError(f"negative instruction count: {instructions}")
         if instructions == 0:
             return
-        recorder = self.env.recorder
-        if recorder is not None:
-            recorder.record_cpu(self, instructions)
         self.instructions_executed += instructions
         yield from self._resource.serve(self.seconds_for(instructions))
 

@@ -102,21 +102,11 @@ class Disk:
     # ------------------------------------------------------------------
     def read(self, page: int) -> Event:
         """Submit a one-page read; the returned event fires when done."""
-        request = self.submit("read", page)
-        recorder = self.env.recorder
-        if recorder is not None:
-            # read()/write() callers yield the completion immediately, so
-            # the submit+wait pair is recorded here as one logical step.
-            recorder.record_dwait(request)
-        return request.done
+        return self.submit("read", page).done
 
     def write(self, page: int) -> Event:
         """Submit a one-page write; the returned event fires when done."""
-        request = self.submit("write", page)
-        recorder = self.env.recorder
-        if recorder is not None:
-            recorder.record_dwait(request)
-        return request.done
+        return self.submit("write", page).done
 
     def submit(self, kind: str, page: int) -> DiskRequest:
         """Queue a request without waiting for it."""
@@ -127,9 +117,6 @@ class Disk:
         tracer = env.tracer
         if tracer is not None:
             request.op = tracer.current_op()
-        recorder = env.recorder
-        if recorder is not None:
-            recorder.record_dsub(self, kind, page, request)
         if self._off:
             self.faulted_requests += 1
             request.done.fail(self._make_offline_error())

@@ -101,46 +101,35 @@ class Network:
         if source is destination:
             # Local hand-off: no message costs at all.
             return
-        recorder = self.env.recorder
-        token = None
-        if recorder is not None:
-            # Record the whole message as ONE op (the replay re-issues the
-            # full send); the token suppresses the nested endpoint-CPU
-            # recordings that would otherwise double-charge on replay.
-            token = recorder.record_net(source, destination, num_bytes, data_pages)
-        try:
+        self.check_available()
+        source.check_available()
+        destination.check_available()
+        cpu_instr = self.config.message_cpu_instructions(num_bytes)
+        yield from source.cpu.execute(cpu_instr)
+        transmissions = 0
+        while True:
+            transmissions += 1
+            yield from self._wire.serve(
+                self.config.wire_time(num_bytes) * self.degradation_factor
+            )
+            # The wire time has been spent even if the message is lost.
             self.check_available()
             source.check_available()
             destination.check_available()
-            cpu_instr = self.config.message_cpu_instructions(num_bytes)
-            yield from source.cpu.execute(cpu_instr)
-            transmissions = 0
-            while True:
-                transmissions += 1
-                yield from self._wire.serve(
-                    self.config.wire_time(num_bytes) * self.degradation_factor
+            if not self._dropped():
+                break
+            self.messages_dropped += 1
+            if transmissions > MAX_RETRANSMITS:
+                raise NetworkPartitionError(
+                    f"message dropped {transmissions} times in a row "
+                    f"(drop probability {self.drop_probability:g}); giving up"
                 )
-                # The wire time has been spent even if the message is lost.
-                self.check_available()
-                source.check_available()
-                destination.check_available()
-                if not self._dropped():
-                    break
-                self.messages_dropped += 1
-                if transmissions > MAX_RETRANSMITS:
-                    raise NetworkPartitionError(
-                        f"message dropped {transmissions} times in a row "
-                        f"(drop probability {self.drop_probability:g}); giving up"
-                    )
-            yield from destination.cpu.execute(cpu_instr)
-            self.bytes_sent += num_bytes
-            if data_pages:
-                self.data_pages_sent += data_pages
-            else:
-                self.control_messages_sent += 1
-        finally:
-            if token is not None:
-                recorder.end_net(token)
+        yield from destination.cpu.execute(cpu_instr)
+        self.bytes_sent += num_bytes
+        if data_pages:
+            self.data_pages_sent += data_pages
+        else:
+            self.control_messages_sent += 1
 
     def _dropped(self) -> bool:
         return (
@@ -179,76 +168,68 @@ class Network:
             return
         if source is destination:
             return
-        recorder = env.recorder
-        token = None
-        if recorder is not None:
-            token = recorder.record_net(source, destination, num_bytes, data_pages)
-        try:
-            # Availability can only be False once the fault injector has
-            # acted, and the first fault sets env.fault_aware for good --
-            # so the healthy steady state skips all six checks per message.
-            # (Re-read at the post-wire checkpoint: an outage can begin
-            # while this message is mid-flight.)
-            if env.fault_aware:
-                self.check_available()
-                source.check_available()
-                destination.check_available()
-            costs = self._cost_cache.get(num_bytes)
-            if costs is None:
-                costs = (
-                    self.config.message_cpu_instructions(num_bytes),
-                    self.config.wire_time(num_bytes),
-                )
-                self._cost_cache[num_bytes] = costs
-            cpu_instr, wire_raw = costs
-            if cpu_instr:
-                cpu = source.cpu
-                cpu.instructions_executed += cpu_instr
-                res = cpu._resource
-                if res.capacity == 1 and not res._in_service and not res._queue:
-                    # seconds_for() inlined: two endpoint hops per message.
-                    end = res._book(cpu_instr / (cpu.mips * 1e6))
-                    try:
-                        yield end - env._now
-                    finally:
-                        res._settle()
-                else:
-                    yield from res.serve(cpu.seconds_for(cpu_instr))
-            wire = self._wire
-            duration = wire_raw * self.degradation_factor
-            if wire.capacity == 1 and not wire._in_service and not wire._queue:
-                end = wire._book(duration)
+        # Availability can only be False once the fault injector has
+        # acted, and the first fault sets env.fault_aware for good --
+        # so the healthy steady state skips all six checks per message.
+        # (Re-read at the post-wire checkpoint: an outage can begin
+        # while this message is mid-flight.)
+        if env.fault_aware:
+            self.check_available()
+            source.check_available()
+            destination.check_available()
+        costs = self._cost_cache.get(num_bytes)
+        if costs is None:
+            costs = (
+                self.config.message_cpu_instructions(num_bytes),
+                self.config.wire_time(num_bytes),
+            )
+            self._cost_cache[num_bytes] = costs
+        cpu_instr, wire_raw = costs
+        if cpu_instr:
+            cpu = source.cpu
+            cpu.instructions_executed += cpu_instr
+            res = cpu._resource
+            if res.capacity == 1 and not res._in_service and not res._queue:
+                # seconds_for() inlined: two endpoint hops per message.
+                end = res._book(cpu_instr / (cpu.mips * 1e6))
                 try:
                     yield end - env._now
                 finally:
-                    wire._settle()
+                    res._settle()
             else:
-                yield from wire.serve(duration)
-            if env.fault_aware:
-                self.check_available()
-                source.check_available()
-                destination.check_available()
-            if cpu_instr:
-                cpu = destination.cpu
-                cpu.instructions_executed += cpu_instr
-                res = cpu._resource
-                if res.capacity == 1 and not res._in_service and not res._queue:
-                    # seconds_for() inlined: two endpoint hops per message.
-                    end = res._book(cpu_instr / (cpu.mips * 1e6))
-                    try:
-                        yield end - env._now
-                    finally:
-                        res._settle()
-                else:
-                    yield from res.serve(cpu.seconds_for(cpu_instr))
-            self.bytes_sent += num_bytes
-            if data_pages:
-                self.data_pages_sent += data_pages
+                yield from res.serve(cpu.seconds_for(cpu_instr))
+        wire = self._wire
+        duration = wire_raw * self.degradation_factor
+        if wire.capacity == 1 and not wire._in_service and not wire._queue:
+            end = wire._book(duration)
+            try:
+                yield end - env._now
+            finally:
+                wire._settle()
+        else:
+            yield from wire.serve(duration)
+        if env.fault_aware:
+            self.check_available()
+            source.check_available()
+            destination.check_available()
+        if cpu_instr:
+            cpu = destination.cpu
+            cpu.instructions_executed += cpu_instr
+            res = cpu._resource
+            if res.capacity == 1 and not res._in_service and not res._queue:
+                # seconds_for() inlined: two endpoint hops per message.
+                end = res._book(cpu_instr / (cpu.mips * 1e6))
+                try:
+                    yield end - env._now
+                finally:
+                    res._settle()
             else:
-                self.control_messages_sent += 1
-        finally:
-            if token is not None:
-                recorder.end_net(token)
+                yield from res.serve(cpu.seconds_for(cpu_instr))
+        self.bytes_sent += num_bytes
+        if data_pages:
+            self.data_pages_sent += data_pages
+        else:
+            self.control_messages_sent += 1
 
     def send_page(self, source: "Site", destination: "Site") -> typing.Generator:
         """Ship one full data page."""

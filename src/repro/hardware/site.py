@@ -98,9 +98,6 @@ class TempFile:
     def release(self) -> None:
         """Free the extent (idempotent)."""
         if not self._released:
-            recorder = self.site.env.recorder
-            if recorder is not None:
-                recorder.record_tfree(self)
             self.site.allocators[self.disk_index].free(self.extent)
             self._released = True
 
@@ -254,11 +251,7 @@ class Site:
     def allocate_temp(self, pages: int, disk_index: int = 0) -> TempFile:
         """Carve a temp file (join partition, spooled stream) on a disk."""
         extent = self.allocators[disk_index].allocate(pages)
-        temp = TempFile(self, disk_index, extent)
-        recorder = self.env.recorder
-        if recorder is not None:
-            recorder.record_temp(self, temp, pages, disk_index)
-        return temp
+        return TempFile(self, disk_index, extent)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Site {self.name!r}>"

@@ -102,21 +102,6 @@ class Channel:
             self._buffer.append(item)
             putter.succeed()
 
-    def fail_waiters(self, exc_factory: typing.Callable[[], Exception]) -> None:
-        """Fail every parked getter *and* putter with a fresh exception.
-
-        :meth:`close` fails only getters (blocked producers are a bug in a
-        normally-terminating pipeline); teardown paths that abandon a
-        pipeline mid-flight -- e.g. a cancelled session replay -- must also
-        unblock producers parked on a full buffer, or they deadlock.
-        """
-        for getter in self._getters:
-            getter.fail(exc_factory())
-        self._getters.clear()
-        for putter, _item in self._putters:
-            putter.fail(exc_factory())
-        self._putters.clear()
-
     def close(self) -> None:
         """Mark end-of-stream; waiting consumers beyond the buffer fail."""
         if self.closed:

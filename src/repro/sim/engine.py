@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import typing
 import weakref
 from collections import deque
@@ -20,10 +19,10 @@ __all__ = ["Environment", "Process", "SimulationError"]
 
 ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 
-#: Default for :attr:`Environment.fastpath`.  ``REPRO_SIM_FASTPATH=0``
-#: disables the provably-equivalent hardware collapse paths globally,
-#: which is how the equivalence property tests obtain their reference runs.
-_FASTPATH_DEFAULT = os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"
+#: Value of :attr:`Environment.fastpath` for every new environment.  The
+#: equivalence property tests patch it to False to obtain their
+#: page-at-a-time reference runs.
+_FASTPATH_DEFAULT = True
 
 
 class _Start:
@@ -147,17 +146,15 @@ class Environment:
         When true (the default), an exception escaping a process propagates
         out of :meth:`run` immediately instead of being stored on the process
         event.  This surfaces bugs in simulation code early.
-    fastpath:
-        When true (the default, overridable globally with the
-        ``REPRO_SIM_FASTPATH=0`` environment variable), hardware components
-        may collapse provably-equivalent event chains -- e.g. an uncontended
-        multi-hop page transfer -- into a single timeout.  The collapse
-        conditions guarantee identical timing, counters, and utilization;
-        turning this off only slows the simulator down (used by the
-        equivalence property tests to produce reference runs).
+
+    :attr:`fastpath` (always :data:`_FASTPATH_DEFAULT`) lets hardware
+    components collapse provably-equivalent event chains -- e.g. an
+    uncontended multi-hop page transfer -- into a single timeout.  The
+    collapse conditions guarantee identical timing, counters, and
+    utilization; turning it off only slows the simulator down.
     """
 
-    def __init__(self, strict: bool = True, fastpath: bool | None = None) -> None:
+    def __init__(self, strict: bool = True) -> None:
         self._now = 0.0
         # Heap entries are (time, seq, Event) for scheduled events, or
         # (time, seq, Process, None) for raw sleeps (``yield <float>``).
@@ -173,7 +170,7 @@ class Environment:
         self._immediate: deque[tuple] = deque()
         self._sequence = 0
         self.strict = strict
-        self.fastpath = _FASTPATH_DEFAULT if fastpath is None else fastpath
+        self.fastpath = _FASTPATH_DEFAULT
         # Set by the fault injector (or any manual power-off) the moment
         # faults enter the picture: hardware fast paths that complete work
         # analytically ahead of time then stand down, so crash/outage
@@ -186,11 +183,6 @@ class Environment:
         # and the process whose generator is currently being advanced.
         self.tracer: "Tracer | None" = None
         self.active_process: Process | None = None
-        # Session-memoization recorder (see repro.workload.memo).  None --
-        # the default -- keeps every hardware hook to a single attribute
-        # read; when set, hooks append the active process's primitive
-        # operations to the recorder's per-session op tapes.
-        self.recorder: typing.Any = None
         # Zero-argument callables returning extra diagnostic text ("" when
         # idle) appended to the deadlock dump -- e.g. per-site memory-broker
         # grant/waiter queues, registered by the components themselves.
@@ -246,44 +238,6 @@ class Environment:
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
-
-    def step(self) -> None:
-        """Process the next scheduled event (merging heap and resume deque).
-
-        :meth:`run` inlines this merge-and-dispatch logic into its loops
-        (one call frame per event is the single largest fixed cost in the
-        scheduler); this method is the readable reference version, kept for
-        single-stepping in tests and debugging.
-        """
-        immediate = self._immediate
-        queue = self._queue
-        if immediate:
-            if queue:
-                first = immediate[0]
-                head = queue[0]
-                if head[0] < first[0] or (head[0] == first[0] and head[1] < first[1]):
-                    entry = heapq.heappop(queue)
-                    self._now = entry[0]
-                    if len(entry) == 4:
-                        entry[2]._resume(_START)
-                    else:
-                        entry[2]._run_callbacks()
-                    return
-            time, _seq, obj, trigger = immediate.popleft()
-            self._now = time
-            if trigger is None:
-                # Zero-delay event trigger (see Event.succeed/fail).
-                obj._run_callbacks()
-            else:
-                obj._resume(trigger)
-            return
-        entry = heapq.heappop(queue)
-        self._now = entry[0]
-        if len(entry) == 4:
-            # Raw sleep expiring: resume the parked process directly.
-            entry[2]._resume(_START)
-        else:
-            entry[2]._run_callbacks()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

@@ -282,7 +282,7 @@ class MemoryBroker(MemoryManager):
     ``history`` folds every event's ``(time, kind, label, pages)`` into an
     event count and a running digest (:class:`~repro.sim.monitor.EventHistory`)
     rather than keeping the events, so the broker's memory does not grow
-    with the run -- the determinism tests compare it across replays.  The
+    with the run -- the determinism tests compare it across repeat runs.  The
     simulator's deadlock dump renders :meth:`describe_pressure` from the
     live grants and queue.
     """
@@ -306,23 +306,6 @@ class MemoryBroker(MemoryManager):
         self.wait_count = 0
         self.total_wait_time = 0.0
         self.history = EventHistory()
-
-    # ------------------------------------------------------------------
-    # Static (legacy) surface: recorded for session memoization.  The
-    # grant/queue surface below is *not* recorded -- the memoizer only
-    # engages under the static discipline.
-    # ------------------------------------------------------------------
-    def allocate(self, pages: int) -> int:
-        recorder = self.env.recorder
-        if recorder is not None:
-            recorder.record_alloc(self, pages)
-        return super().allocate(pages)
-
-    def release(self, pages: int) -> None:
-        recorder = self.env.recorder
-        if recorder is not None:
-            recorder.record_free(self, pages)
-        super().release(pages)
 
     # ------------------------------------------------------------------
     # Request surface
@@ -492,9 +475,6 @@ class MemoryBroker(MemoryManager):
     # ------------------------------------------------------------------
     def record_spill(self, label: str, pages: int = 1) -> None:
         """Count a join partition page written to temp disk at this site."""
-        recorder = self.env.recorder
-        if recorder is not None:
-            recorder.record_spill_op(self, label, pages)
         self.spill_pages += pages
         self._log("spill", label, pages)
 

@@ -18,7 +18,6 @@ that.
 from __future__ import annotations
 
 import gc
-import os
 import typing
 from dataclasses import replace
 
@@ -41,7 +40,6 @@ from repro.plans.operators import DisplayOp
 from repro.plans.policies import Policy
 from repro.sim import AllOf, Environment
 from repro.workload.admission import AdmissionConfig, AdmissionController
-from repro.workload.memo import SessionMemo
 from repro.workload.results import WorkloadResult
 from repro.workload.streams import ClientStream, StreamConfig
 
@@ -74,7 +72,6 @@ class WorkloadRunner:
         cache: "CacheConfig | str | None" = None,
         consistency: "ConsistencyConfig | str | None" = None,
         telemetry: "TelemetryConfig | None" = None,
-        memoize: bool = True,
     ) -> None:
         """``client_caches`` is keyed by client *ordinal* (0..num_clients-1)
         and overrides that client's cached fractions; clients without an
@@ -111,11 +108,9 @@ class WorkloadRunner:
         self.tracer = tracer
         self.plan_cache = plan_cache
         self.telemetry = telemetry
-        # Session memoization (repro.workload.memo): replay op tapes for
-        # repeat (plan, cache state, epoch) sessions.  ``memoize=False`` or
-        # ``REPRO_SIM_MEMO=0`` forces every session through the operator
-        # interpreter; further eligibility gates are applied in run().
-        self.memoize = memoize
+        #: Always None: sessions are never memoized.  Kept for callers
+        #: that still read it.
+        self.last_memo = None
         if cache is None:
             cache = CacheConfig(mode="dynamic")
         elif isinstance(cache, str):
@@ -218,31 +213,6 @@ class WorkloadRunner:
             topology=topology,
             plan_cache=plan_cache,
         )
-        # Session memoization is only sound when a session's op stream is a
-        # pure function of (plan, exact cache state, consistency epoch):
-        # closed read-only streams under the static memory discipline, with
-        # no tracer (tapes carry no spans), no faults, and no recovery.
-        # Telemetry and admission control are fine -- both observe the same
-        # primitive ops a replay re-issues.
-        memo = None
-        if (
-            self.memoize
-            and env.fastpath
-            and self.tracer is None
-            and self.faults is None
-            and self.recovery is None
-            and self.stream.arrival == "closed"
-            and self.stream.write_fraction == 0.0
-            and not config.memory.is_dynamic
-            and os.environ.get("REPRO_SIM_MEMO", "1") != "0"
-        ):
-            memo = SessionMemo(env, topology)
-            executor.session_memo = memo
-            # env.recorder is managed by the memo itself: it attaches only
-            # while a recording is in flight, so the replay-heavy steady
-            # state keeps every hardware hook on the recorder-is-None path.
-        # Exposed for tests and diagnostics (None when ineligible/disabled).
-        self.last_memo = memo
         controllers: dict[int, AdmissionController] = {}
         if self.admission is not None:
             controllers = {

@@ -39,17 +39,6 @@ class TestBitIdentical:
                 assert fast == slow
                 assert cross == slow
 
-    def test_env_var_disables_memoization(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COSTMODEL_FULL", "1")
-        scenario = chain_scenario(num_relations=2)
-        model = CostModel(scenario.query, scenario.environment())
-        plan = random_plan(scenario.query, Policy.HYBRID_SHIPPING, random.Random(0))
-        before = model.node_visits
-        model.evaluate(plan)
-        first = model.node_visits - before
-        model.evaluate(plan)
-        assert model.node_visits - before == 2 * first
-
 
 class TestFewerVisits:
     def test_repeated_plan_is_free(self):

@@ -16,7 +16,6 @@ from repro.workload import (
     StreamConfig,
     WorkloadRunner,
 )
-from repro.workload.memo import _ReplayState
 from repro.workloads.scenarios import chain_scenario
 
 
@@ -219,9 +218,9 @@ class TestApiSurface:
 class TestFinishedSessionsFreedByRefcount:
     """The runner pauses cyclic GC for the whole simulation, so a finished
     session must be freed by refcounting alone: no reference cycle may keep
-    its processes, replay state, or temp files until the pause ends."""
+    its processes or temp files until the pause ends."""
 
-    @pytest.mark.parametrize("case", ("memo", "recovery", "writes"))
+    @pytest.mark.parametrize("case", ("recovery", "writes"))
     def test_no_session_state_in_cyclic_garbage(self, case):
         stream = dict(arrival="closed", think_time=0.0, queries_per_client=2)
         policy = Policy.HYBRID_SHIPPING
@@ -255,7 +254,7 @@ class TestFinishedSessionsFreedByRefcount:
             pinned = [
                 type(obj).__name__
                 for obj in gc.garbage
-                if isinstance(obj, (Process, _ReplayState, TempFile))
+                if isinstance(obj, (Process, TempFile))
             ]
         finally:
             gc.set_debug(0)
@@ -263,7 +262,4 @@ class TestFinishedSessionsFreedByRefcount:
             if gc_was_enabled:
                 gc.enable()
         assert result.completed == result.submitted
-        if case == "memo":
-            memo = runner.last_memo
-            assert memo is not None and memo.recordings > 0 and memo.replays > 0
         assert pinned == []
