@@ -442,7 +442,7 @@ def run_workload(
     :class:`~repro.workload.WorkloadRunner`): ``None`` or ``"dynamic"``
     runs the demand-paging buffer cache, where ``cached_fraction`` seeds
     the initial resident set and client scans admit faulted-in pages so
-    streams warm up; ``"static"`` is the paper's immutable-prefix model
+    streams warm up; ``"static"`` is the paper's fixed-prefix model
     used by the figure reproductions.  A full
     :class:`~repro.caching.CacheConfig` picks the replacement policy and
     capacity.

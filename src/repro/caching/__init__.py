@@ -1,13 +1,13 @@
-"""Dynamic client buffer cache: demand paging over the client disk.
+"""Client buffer cache: the client disk as a page cache.
 
 The paper's experiments assume a *static* cached prefix, installed before
-the query and never changed (footnote 8; ``repro.storage.cache``).  This
-package replaces that simplification for workload runs: a page-grained
-:class:`BufferCache` over the client disk that starts cold (or pre-seeded),
-admits pages faulted in from servers mid-query, evicts under a pluggable
-replacement policy (LRU, MRU, CLOCK) once full, and persists across the
-queries of a stream -- so data-shipping clients warm up instead of
-re-faulting the same pages query after query.
+the query and never changed (footnote 8): a :class:`BufferCache` seeded
+with those prefixes that never admits a page.  For workload runs the same
+cache can run *dynamically*: it starts cold (or pre-seeded), admits pages
+faulted in from servers mid-query, evicts under a pluggable replacement
+policy (LRU, MRU, CLOCK) once full, and persists across the queries of a
+stream -- so data-shipping clients warm up instead of re-faulting the same
+pages query after query.
 
 :class:`CacheState` is the immutable per-relation resident-page summary the
 optimizer consumes: the cost model estimates client-resident fractions from

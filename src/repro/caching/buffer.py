@@ -1,16 +1,17 @@
-"""The dynamic client buffer cache and its immutable snapshot.
+"""The client buffer cache and its immutable snapshot.
 
 One :class:`BufferCache` manages a contiguous arena of client-disk pages
-(allocated once, up front, like the static cache's per-relation extents)
-and maps ``(relation, page index)`` keys onto arena slots.  Lookups and
-admissions update hit/miss/eviction/admission counters and the replacement
-policy; :meth:`BufferCache.snapshot` freezes the per-relation resident
-summary into a :class:`CacheState` the optimizer can plan against.
+(allocated once, up front) and maps ``(relation, page index)`` keys onto
+arena slots.  Lookups and admissions update hit/miss/eviction/admission
+counters and the replacement policy; :meth:`BufferCache.snapshot` freezes
+the per-relation resident summary into a :class:`CacheState` the
+optimizer can plan against.
 
-Everything is deterministic: slots are handed out in ascending order (so a
-seeded prefix occupies a contiguous, sequentially-readable run, matching
-the static cache's disk layout), freed slots are reused LIFO, and the
-eviction order is whatever the policy computes from the reference stream.
+Everything is deterministic: slots are handed out in ascending order (so
+prefixes seeded relation by relation occupy contiguous,
+sequentially-readable runs, one after the other), freed slots are reused
+LIFO, and the eviction order is whatever the policy computes from the
+reference stream.
 ``eviction_history`` folds every victim, in order, into an eviction count
 and a running digest (:class:`~repro.sim.monitor.EventHistory`) -- the
 determinism tests compare it across reruns without the cache keeping every
@@ -73,15 +74,16 @@ class CacheState:
 
 
 class BufferCache:
-    """Page-grained dynamic cache over one client disk.
+    """Page-grained cache over one client disk.
 
     ``capacity_pages`` slots are carved from the client's extent allocator
     as one arena.  ``lookup`` answers where a relation page lives on the
     client disk (or None, counting a miss); ``admit`` makes a faulted-in
     page resident, evicting a victim via the replacement policy when full.
     ``seed`` pre-populates a contiguous prefix without touching the demand
-    counters -- the dynamic analogue of the paper's "resident before the
-    query starts" assumption.
+    counters -- the paper's "resident before the query starts" assumption.
+    A cache built with ``admits=False`` (the static model) never admits:
+    it serves its seeded prefixes and only shrinks, by invalidation.
     """
 
     def __init__(
@@ -89,13 +91,13 @@ class BufferCache:
         allocator: "ExtentAllocator",
         capacity_pages: int,
         policy: str = "lru",
-        admit_on_fault: bool = True,
+        admits: bool = True,
     ) -> None:
         if capacity_pages < 0:
             raise ConfigurationError(f"capacity_pages must be >= 0, got {capacity_pages}")
         self.capacity_pages = capacity_pages
         self.policy_name = policy
-        self.admit_on_fault = admit_on_fault
+        self.admits = admits
         self._policy = make_policy(policy)
         self._extent = allocator.allocate(capacity_pages)
         # (relation, page index) -> arena slot.  Slots are handed out in
@@ -162,12 +164,12 @@ class BufferCache:
     def admit(self, relation: str, page_index: int, version: int = 0) -> int | None:
         """Make a page resident; returns its client-disk page.
 
-        Returns None when the cache has no capacity at all (capacity 0
-        degenerates to the no-cache baseline: every access faults, nothing
-        is kept).  Admitting an already-resident page is a no-op beyond a
-        policy touch and a version refresh.
+        Returns None when the cache never admits, or has no capacity at
+        all (capacity 0 degenerates to the no-cache baseline: every access
+        faults, nothing is kept).  Admitting an already-resident page is a
+        no-op beyond a policy touch and a version refresh.
         """
-        if self.capacity_pages == 0:
+        if not self.admits or self.capacity_pages == 0:
             return None
         key = (relation, page_index)
         slot = self._slots.get(key)

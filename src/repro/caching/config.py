@@ -14,25 +14,26 @@ __all__ = ["CacheConfig"]
 class CacheConfig:
     """How client sites cache server data.
 
-    ``mode="static"`` is the paper's footnote-8 model: a contiguous prefix
-    of each relation is installed on the client disk before any query runs
-    and never changes (:class:`~repro.storage.cache.ClientDiskCache`).  The
-    figure reproductions all use it.
+    Every client caches in a page-grained
+    :class:`~repro.caching.buffer.BufferCache` on its disk, seeded with the
+    catalog's cache fractions (a contiguous prefix of each relation)
+    before any query runs.
 
-    ``mode="dynamic"`` replaces the prefix with a page-grained
-    :class:`~repro.caching.buffer.BufferCache`: catalog cache fractions
-    become *seeded* resident pages, client scans admit every faulted-in
-    page, and a replacement policy evicts once ``capacity_pages`` is
-    exceeded.  ``capacity_pages=None`` sizes the cache to hold the whole
-    database (nothing ever evicts -- pure warm-up behaviour).
+    ``mode="static"`` is the paper's footnote-8 model: the cache holds
+    exactly the seeded prefixes and never admits a faulted-in page, so
+    its contents change only when a write invalidates a page.  The figure
+    reproductions all use it.
+
+    ``mode="dynamic"`` adds demand paging: client scans admit every
+    faulted-in page, and a replacement policy evicts once
+    ``capacity_pages`` is exceeded.  ``capacity_pages=None`` sizes the
+    cache to hold the whole database (nothing ever evicts -- pure warm-up
+    behaviour).
     """
 
     mode: str = "static"
     capacity_pages: int | None = None
     policy: str = "lru"
-    #: Admit pages faulted in from servers (demand paging).  Off, the
-    #: dynamic cache serves its seeded contents but never grows.
-    admit_on_fault: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("static", "dynamic"):

@@ -19,10 +19,11 @@ class Catalog:
 
     A catalog is *logical* until :meth:`install` materialises it on a
     :class:`~repro.hardware.topology.Topology`: primary copies get disk
-    extents on their servers and cached prefixes get extents on the client
-    disk.  The optimizer reads the same catalog, so an optimizer can be
-    handed a *different* (wrong) catalog to model stale compile-time
-    knowledge, as in the paper's 2-step experiments (section 5).
+    extents on their servers and cached prefixes are seeded into each
+    client's buffer cache.  The optimizer reads the same catalog, so an
+    optimizer can be handed a *different* (wrong) catalog to model stale
+    compile-time knowledge, as in the paper's 2-step experiments
+    (section 5).
     """
 
     def __init__(
@@ -114,52 +115,46 @@ class Catalog:
         for unknown in set(overrides) - {site.site_id for site in topology.clients}:
             raise CatalogError(f"cache override for unknown client site {unknown}")
         for client in topology.clients:
-            fractions = overrides.get(client.site_id)
-            if config.cache.is_dynamic:
-                self._install_dynamic(client, config, fractions)
-                continue
-            cache = client.cache
-            assert cache is not None
-            for name in self.relation_names:
-                if fractions is None:
-                    fraction = self.cached_fraction(name)
-                else:
-                    fraction = fractions.get(name, 0.0)
-                if fraction > 0.0:
-                    cache.install(name, self.pages_of(name, config), fraction)
+            self._install_cache(client, config, overrides.get(client.site_id))
 
-    def _install_dynamic(
+    def _install_cache(
         self,
         client: "typing.Any",
         config: SystemConfig,
         fractions: dict[str, float] | None,
     ) -> None:
-        """Create (or keep) a client's dynamic buffer cache, seeding prefixes.
+        """Create (or keep) a client's buffer cache, seeding prefixes.
 
         The catalog's cache fractions (or the per-client override) become
-        *seeded* resident pages -- like the static model, seeded data is
+        *seeded* resident pages, relation by relation -- seeded data is
         assumed resident before any query runs, so no I/O is simulated for
-        it.  An existing buffer cache is kept as-is: its contents are the
-        whole point of persisting across installs.
+        it.  A static cache holds exactly those pages and never admits; a
+        dynamic one has ``config.cache.capacity_pages`` (default: the whole
+        database) and admits faulted-in pages.  An existing buffer cache is
+        kept as-is: its contents are the whole point of persisting across
+        installs.
         """
         if client.buffer_cache is not None:
             return
-        total_pages = sum(self.pages_of(name, config) for name in self.relation_names)
-        capacity = config.cache.capacity_pages
-        if capacity is None:
-            capacity = total_pages
+        prefixes = []
+        for name in self.relation_names:
+            fraction = self.cached_fraction(name) if fractions is None else fractions.get(name, 0.0)
+            if not 0.0 <= fraction <= 1.0:
+                raise CatalogError(f"cache fraction must be in [0, 1], got {fraction}")
+            prefixes.append((name, round(self.pages_of(name, config) * fraction)))
+        if config.cache.is_dynamic:
+            capacity = config.cache.capacity_pages
+            if capacity is None:
+                capacity = sum(self.pages_of(name, config) for name in self.relation_names)
+        else:
+            capacity = sum(pages for _, pages in prefixes)
         client.buffer_cache = BufferCache(
             client.allocators[0],
             capacity,
             policy=config.cache.policy,
-            admit_on_fault=config.cache.admit_on_fault,
+            admits=config.cache.is_dynamic,
         )
-        for name in self.relation_names:
-            if fractions is None:
-                fraction = self.cached_fraction(name)
-            else:
-                fraction = fractions.get(name, 0.0)
-            pages = round(self.pages_of(name, config) * fraction)
+        for name, pages in prefixes:
             if pages > 0:
                 client.buffer_cache.seed(name, pages)
 

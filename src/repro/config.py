@@ -62,19 +62,17 @@ class BufferAllocation(enum.Enum):
 class MemoryConfig:
     """Join memory governance at each site.
 
-    ``"static"`` is the paper's model: every join allocates its plan-time
-    min/max grant up front, and a pool too small for the grant sheds the
-    query.  ``"dynamic"`` routes join memory through the per-site
-    :class:`~repro.storage.MemoryBroker`: joins ask for a range
-    ``[minimum, maximum]``, queue deterministically when the pool is
-    saturated, and give pages back mid-join (incremental spilling) when
-    the broker reclaims on behalf of a waiter.
+    Every join (and write) holds a grant from its site's
+    :class:`~repro.storage.MemoryBroker`.  ``"static"`` is the paper's
+    model: a join asks for a fixed grant of its plan-time min/max
+    allocation, and a pool too small for it sheds the query.
+    ``"dynamic"`` asks for a range ``[minimum, maximum]``, queues
+    deterministically when the pool is saturated, and gives pages back
+    mid-join (incremental spilling) when the broker reclaims on behalf of
+    a waiter.
     """
 
     mode: str = "static"
-    # Whether the broker may claw back pages above a grant's minimum from
-    # running joins to serve waiters.  Disabling it leaves only queueing.
-    reclaim: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in ("static", "dynamic"):

@@ -46,8 +46,7 @@ from repro.plans.operators import (
 )
 from repro.storage.memory import (
     MemoryPressureState,
-    join_allocation,
-    maximum_join_allocation,
+    grant_range,
     minimum_join_allocation,
     plan_hybrid_hash,
 )
@@ -119,9 +118,9 @@ class EnvironmentState:
     config: SystemConfig
     server_loads: dict[int, float] = field(default_factory=dict)
     calibration: CostCalibration = field(default_factory=CostCalibration)
-    # Dynamic client-cache snapshot: when set, the cost model estimates
-    # client-resident fractions from it instead of the static catalog
-    # cache fractions (cache-aware optimization, one client's view).
+    # Client-cache snapshot: when set, the cost model estimates
+    # client-resident fractions from it instead of the catalog cache
+    # fractions (cache-aware optimization, one client's view).
     cache_state: "CacheState | None" = None
     # Broker occupancy snapshot (dynamic memory governance): when set, the
     # model sizes join buffers from each site's free pool and prices
@@ -298,21 +297,18 @@ class CostModel:
     def _join_buffers(self, site: int, inner_pages: int) -> int:
         """Buffer frames the model expects a join at ``site`` to run with.
 
-        Static discipline: the plan-time min/max allocation.  Dynamic
-        discipline: the broker grants greedily up to the maximum, so with no
-        pressure snapshot (or an unknown site) the maximum is the belief;
-        under a snapshot the expectation is the site's free pool clamped to
-        the [minimum, maximum] range -- what a grant issued right now would
-        actually get.
+        The broker grants greedily within the join's :func:`grant_range`
+        (a single size under the static discipline), so with no pressure
+        snapshot (or an unknown site) the maximum is the belief; under a
+        snapshot the expectation is the site's free pool clamped to the
+        range -- what a grant issued right now would actually get.
         """
-        if not self.config.memory.is_dynamic:
-            return join_allocation(inner_pages, self.config.buffer_allocation)
-        max_alloc = maximum_join_allocation(inner_pages)
+        min_pages, max_pages, _waits = grant_range(self.config, inner_pages)
         pressure = self.environment.memory_pressure
         free = None if pressure is None else pressure.free_pages(site)
         if free is None:
-            return max_alloc
-        return max(minimum_join_allocation(inner_pages), min(max_alloc, free))
+            return max_pages
+        return max(min_pages, min(max_pages, free))
 
     def _join_spills(self, op: JoinOp, site: int) -> bool:
         """Whether this join runs out of memory (spills partitions)."""
@@ -723,7 +719,7 @@ class CostModel:
             build_usage.add(("disk", site), writes * write_cost)
             build_usage.add(("cpu", site), writes * disk_cpu)
         pressure = self.environment.memory_pressure
-        if config.memory.is_dynamic and pressure is not None:
+        if pressure is not None:
             # Expected broker-queue time before the build can even start:
             # one unit per request already queued at this site, plus one
             # more when the free pool cannot cover this join's minimum.

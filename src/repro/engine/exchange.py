@@ -16,6 +16,7 @@ from __future__ import annotations
 import typing
 
 from repro.engine.base import Page, PhysicalOp
+from repro.errors import QueryShedError, TransientFaultError
 from repro.sim import Channel, ChannelClosed
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -53,14 +54,26 @@ class ExchangeReceiver(PhysicalOp):
         self.ship_process = context.spawn(self._ship(), name=f"ship:{label}")
 
     def _pump(self) -> typing.Generator:
-        """Drive the producer subtree, staging pages for transmission."""
-        yield from self.child.open()
-        while True:
-            page = yield from self.child.next()
-            if page is None:
-                break
-            yield self._staged.put(page)
-        yield from self.child.close()
+        """Drive the producer subtree, staging pages for transmission.
+
+        In a supervised attempt a shed or transient fault escapes to the
+        supervisor, which reports it to the recovery loop.  An inline
+        attempt has no supervisor, so the failure travels down the stream
+        instead and the consumer raises it where it reads the next page.
+        """
+        try:
+            yield from self.child.open()
+            while True:
+                page = yield from self.child.next()
+                if page is None:
+                    break
+                yield self._staged.put(page)
+            yield from self.child.close()
+        except (QueryShedError, TransientFaultError) as exc:
+            if self.context.fault_event is not None:
+                raise
+            self._staged.close(exc)
+            return
         self._staged.close()
 
     def _ship(self) -> typing.Generator:
@@ -72,6 +85,9 @@ class ExchangeReceiver(PhysicalOp):
                 page = yield self._staged.get()
             except ChannelClosed:
                 break
+            except (QueryShedError, TransientFaultError) as exc:
+                self.channel.close(exc)
+                return
             tracer = self.context.env.tracer
             if tracer is None:
                 # Flat transfer (see Network.send_flat): the shipping loop

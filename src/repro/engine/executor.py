@@ -206,8 +206,7 @@ class ExecutionResult:
     # Snapshot of the topology's metrics registry at completion
     # (site.server1.disk0.pages_read, network.bytes_sent, ...).
     profile: dict[str, float] = field(default_factory=dict)
-    # Dynamic-cache snapshot of the driving client at completion; None
-    # under the static prefix model.
+    # Buffer-cache snapshot of the driving client at completion.
     cache_state: "CacheState | None" = None
     # Sampled time series of the run (per-interval utilizations, queue
     # depths, cache occupancy); None unless a telemetry config was passed.
@@ -481,23 +480,6 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # Planning against the live system
     # ------------------------------------------------------------------
-    def _client_cache_view(self, client_site: int) -> "tuple[typing.Any, str]":
-        """The (cache state, contents digest) of one client's live cache.
-
-        Static caches contribute a digest only (the cost model already
-        reads their fractions from the catalog -- unless a per-client
-        override made the disk differ from the catalog, which is exactly
-        what the digest keys); dynamic caches contribute their snapshot
-        too, so plans price client scans against what is resident *now*.
-        """
-        site = self.topology.site(client_site)
-        if site.buffer_cache is not None:
-            state = site.buffer_cache.snapshot()
-            return state, state.digest()
-        if site.cache is not None:
-            return None, site.cache.digest()
-        return None, ""
-
     def optimize_for(
         self,
         client_site: int,
@@ -506,19 +488,21 @@ class QueryExecutor:
     ) -> DisplayOp:
         """Optimize the query for one client as the system stands *now*.
 
-        The plan is priced against the client's live cache contents and,
-        under dynamic memory governance, the brokers' current occupancy
-        (steering joins away from saturated sites); both digests key the
-        plan cache.  ``policy`` defaults to the executor's.
+        The plan is priced against the client's live cache contents (a
+        per-client override, pages faulted in or invalidated since the
+        install) and, under dynamic memory governance, the brokers' current
+        occupancy (steering joins away from saturated sites); both
+        snapshots key the plan cache.  ``policy`` defaults to the
+        executor's.
         """
         from repro.optimizer.two_phase import RandomizedOptimizer
 
-        cache_state, cache_digest = self._client_cache_view(client_site)
+        cache = self.topology.site(client_site).buffer_cache
         environment = EnvironmentState(
             self.catalog,
             self.config,
             dict(self.server_loads),
-            cache_state=cache_state,
+            cache_state=None if cache is None else cache.snapshot(),
             memory_pressure=(
                 MemoryPressureState.capture(self.topology.sites)
                 if self.config.memory.is_dynamic
@@ -534,7 +518,6 @@ class QueryExecutor:
             seed=self.seed,
             forced_client_relations=forced_client_relations,
             plan_cache=self.plan_cache,
-            cache_digest=cache_digest,
         ).optimize().plan
 
     def _replan(
@@ -715,8 +698,7 @@ class SessionResult:
     #: single-client streams; under concurrency, pages of overlapping
     #: sessions are counted at every session they overlap.
     pages_sent: int = 0
-    #: Pages resident in this session's client cache at completion
-    #: (dynamic buffer cache or static prefix total).
+    #: Pages resident in this session's client cache at completion.
     cache_resident_pages: int = 0
     #: Pages produced by attempts that a fault aborted (next to ``retries``
     #: and ``replans``, as in :class:`ExecutionResult`).
@@ -952,7 +934,11 @@ class Session:
                     stats.replans.add()
 
     def _run_inline(self, target: "BoundPlan | WriteSpec") -> typing.Generator:
-        """The fault-free attempt, in this process; returns the result tuples."""
+        """The fault-free attempt, in this process; returns the result tuples.
+
+        A shed anywhere in the plan surfaces here: exchange pumps forward
+        their subtree's failure down the stream to this consumer.
+        """
         executor = self.executor
         tickets = yield from self._acquire(target)
         context = executor.new_context()
@@ -974,12 +960,8 @@ class Session:
         executor = self.executor
         env = executor.env
         client = executor.topology.site(self.client_site)
-        if client.buffer_cache is not None:
-            resident = client.buffer_cache.resident_count
-        elif client.cache is not None:
-            resident = client.cache.total_cached_pages
-        else:
-            resident = 0
+        cache = client.buffer_cache
+        resident = 0 if cache is None else cache.resident_count
         stats = self.stats
         return SessionResult(
             session_id=self.session_id,

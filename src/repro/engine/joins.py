@@ -12,20 +12,23 @@ continues), so a join's temp I/O overlaps with its inputs' scans -- when
 they share a disk this creates exactly the seek interference the paper
 blames for query-shipping's poor minimum-allocation performance (4.2.2).
 
-Two memory disciplines share this operator:
+Every join runs on a :class:`~repro.storage.MemoryGrant` from its site's
+broker; :func:`~repro.storage.memory.grant_range` picks the request:
 
-- **static** (the paper's model): the plan-time min/max allocation is
-  taken up front from the site pool and the spill plan never changes;
-- **dynamic** (``SystemConfig.memory.mode == "dynamic"``): the join asks
-  the site's :class:`~repro.storage.MemoryBroker` for a grant in
-  ``[minimum, maximum]`` allocation, queues deterministically under
+- **static** (the paper's model): a *fixed* grant ``[n, n]`` of the
+  plan-time min/max allocation that sheds the query instead of queueing.
+  A fixed grant keeps the paper's plan-time spill model: no recursive
+  overflow passes, spilled output paced from the estimate, and no role
+  reversal;
+- **dynamic** (``SystemConfig.memory.mode == "dynamic"``): a grant in
+  ``[minimum, maximum]`` allocation that queues deterministically under
   saturation, *shrinks mid-join* when the broker reclaims pages for a
   waiter (evicted hash-table pages spill incrementally), reverses build
   and probe roles per spilled partition pair when the outer side turned
   out smaller, and handles partitions still too big for memory with
-  bounded recursive overflow passes.  On an uncontended pool the dynamic
-  path issues exactly the static maximum grant synchronously, so
-  single-session runs are event-for-event identical to static mode.
+  bounded recursive overflow passes.  On an uncontended pool the broker
+  issues the maximum synchronously, so single-session runs are
+  event-for-event identical to static maximum allocation.
 """
 
 from __future__ import annotations
@@ -36,13 +39,7 @@ from repro.config import HYBRID_HASH_FUDGE_FACTOR
 from repro.engine.base import Page, PageAssembler, PhysicalOp
 from repro.errors import ExecutionError, TransientFaultError
 from repro.sim import AllOf, Event
-from repro.storage.memory import (
-    HybridHashPlan,
-    join_allocation,
-    maximum_join_allocation,
-    minimum_join_allocation,
-    plan_hybrid_hash,
-)
+from repro.storage.memory import HybridHashPlan, grant_range, plan_hybrid_hash
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.engine.executor import ExecutionContext
@@ -56,10 +53,10 @@ class _PartitionSet:
     """The spill files of one join input: round-robin page placement.
 
     Each partition owns a list of extent chunks; the initial chunk is sized
-    from the expected spill volume.  With ``auto_grow`` (dynamic mode,
-    where reclaims make spill volume unpredictable) a full partition grows
-    by another chunk instead of overflowing.  Chunks are allocated one at a
-    time so a failure mid-construction releases what was already taken.
+    from the expected spill volume.  When every partition is full (reclaims
+    make the spill volume unpredictable) the next one grows by another
+    chunk.  Chunks are allocated one at a time so a failure
+    mid-construction releases what was already taken.
     """
 
     def __init__(
@@ -68,11 +65,9 @@ class _PartitionSet:
         num_partitions: int,
         expected_pages: int,
         disk_index: int = 0,
-        auto_grow: bool = False,
     ) -> None:
         self.site = site
         self.disk_index = disk_index
-        self.auto_grow = auto_grow
         per_partition = -(-max(expected_pages, num_partitions) // num_partitions) + 2
         self._chunk = per_partition
         self.files: list[list[TempFile]] = []
@@ -107,8 +102,6 @@ class _PartitionSet:
                 self.pages_written += 1
                 return self._page_at(index, self._fill[index] - 1)
             if self._cursor == start:
-                if not self.auto_grow:
-                    raise ExecutionError("hybrid-hash partition files overflowed")
                 self.files[index].append(
                     self.site.allocate_temp(self._chunk, self.disk_index)
                 )
@@ -174,9 +167,9 @@ class HashJoinIterator(PhysicalOp):
         self._spill_accum_outer = 0.0
         self._phase = "build"
         self._partition_cursor = 0
-        # Dynamic-discipline state.
-        self._dynamic = context.config.memory.is_dynamic
         self._grant: "MemoryGrant | None" = None
+        # Whether the grant's range is a single size (see _partition_step).
+        self._fixed = False
         self._pending_wait: "_GrantWaiter | None" = None
         self._aborted = False
         self._build_pages_seen = 0
@@ -191,23 +184,13 @@ class HashJoinIterator(PhysicalOp):
     # ------------------------------------------------------------------
     def _open(self) -> typing.Generator:
         config = self.config
-        if self._dynamic:
-            yield from self._acquire_grant()
-        else:
-            pages = join_allocation(self.est_inner_pages, config.buffer_allocation)
-            # Allocate before recording the debt: if the pool sheds this
-            # query, a later abort() must not "release" pages never taken.
-            self.site.memory.allocate(pages)
-            self._buffer_pages = pages
+        yield from self._acquire_grant()
         self._hh = plan_hybrid_hash(
             self.est_inner_pages, self.est_outer_pages, self._buffer_pages
         )
         if not self._hh.in_memory:
             self._inner_parts = _PartitionSet(
-                self.site,
-                self._hh.spill_partitions,
-                self._hh.spilled_inner_pages,
-                auto_grow=self._dynamic,
+                self.site, self._hh.spill_partitions, self._hh.spilled_inner_pages
             )
         yield from self.inner.open()
         while True:
@@ -233,26 +216,23 @@ class HashJoinIterator(PhysicalOp):
         yield from self.outer.open()
         if not self._hh.in_memory and self._outer_parts is None:
             self._outer_parts = _PartitionSet(
-                self.site,
-                self._hh.spill_partitions,
-                self._hh.spilled_outer_pages,
-                auto_grow=self._dynamic,
+                self.site, self._hh.spill_partitions, self._hh.spilled_outer_pages
             )
 
     def _acquire_grant(self) -> typing.Generator:
-        """Obtain a broker grant in [minimum, maximum] allocation; may wait.
+        """Obtain the broker grant :func:`grant_range` asks for; may wait.
 
         The fast path is fully synchronous: on an uncontended pool the
-        broker hands out the maximum allocation with no events created, so
-        the dynamic discipline is indistinguishable from static maximum
-        allocation in single-session runs.
+        broker hands out the maximum with no events created.  A fixed
+        (static) grant has no reclaim callback and sheds instead of
+        queueing.
         """
         broker = self.site.memory
-        min_pages = minimum_join_allocation(self.est_inner_pages)
-        max_pages = maximum_join_allocation(self.est_inner_pages)
-        grant = broker.try_grant(min_pages, max_pages, self.label, self._reclaimed)
+        min_pages, max_pages, waits = grant_range(self.config, self.est_inner_pages)
+        on_reclaim = self._reclaimed if waits else None
+        grant = broker.try_grant(min_pages, max_pages, self.label, on_reclaim, waits)
         if grant is None:
-            waiter = broker.enqueue(min_pages, max_pages, self.label, self._reclaimed)
+            waiter = broker.enqueue(min_pages, max_pages, self.label, on_reclaim)
             self._pending_wait = waiter
             waited_from = self.env.now
             try:
@@ -278,6 +258,7 @@ class HashJoinIterator(PhysicalOp):
                     },
                 )
         self._grant = grant
+        self._fixed = grant.min_pages == grant.max_pages
         self._buffer_pages = grant.pages
 
     def _reclaimed(self, take: int) -> int:
@@ -317,17 +298,11 @@ class HashJoinIterator(PhysicalOp):
             )
         if not new.in_memory and self._inner_parts is None:
             self._inner_parts = _PartitionSet(
-                self.site,
-                new.spill_partitions,
-                new.spilled_inner_pages,
-                auto_grow=True,
+                self.site, new.spill_partitions, new.spilled_inner_pages
             )
             if self._phase == "probe" and self._outer_parts is None:
                 self._outer_parts = _PartitionSet(
-                    self.site,
-                    new.spill_partitions,
-                    new.spilled_outer_pages,
-                    auto_grow=True,
+                    self.site, new.spill_partitions, new.spilled_outer_pages
                 )
         evicted = round((old.resident_fraction - new.resident_fraction) * self._build_pages_seen)
         self._reclaim_spill_pages += max(0, evicted)
@@ -384,10 +359,7 @@ class HashJoinIterator(PhysicalOp):
             if self._phase == "probe":
                 yield from self._probe_step()
             elif self._phase == "partitions":
-                if self._dynamic:
-                    yield from self._partition_step_dynamic()
-                else:
-                    yield from self._partition_step()
+                yield from self._partition_step()
             elif self._phase == "flush":
                 self._ready.extend(self._assembler.flush())
                 self._phase = "done"
@@ -426,41 +398,22 @@ class HashJoinIterator(PhysicalOp):
             yield from self._drain_spill("outer", page.tuple_bytes)
 
     def _partition_step(self) -> typing.Generator:
-        """Join one spilled partition pair (build from inner, probe outer)."""
-        assert self._inner_parts is not None and self._outer_parts is not None
-        if self._partition_cursor >= len(self._inner_parts):
-            self._phase = "flush"
-            return
-        index = self._partition_cursor
-        self._partition_cursor += 1
-        config = self.config
-        for disk_page in self._inner_parts.partition_pages(index):
-            yield from self.site.cpu.execute(config.disk_inst)
-            yield self.site.disk.read(disk_page)
-            cpu = config.hash_inst * config.tuples_per_page(self._inner_tuple_bytes)
-            cpu += config.move_instructions(config.page_size)
-            yield from self.site.cpu.execute(cpu)
-        outer_pages = self._outer_parts.partition_pages(index)
-        spilled_output = self.est_output_tuples * (1.0 - self._hh.resident_fraction)
-        per_page_output = spilled_output / max(1, self._outer_parts.pages_written)
-        for disk_page in outer_pages:
-            yield from self.site.cpu.execute(config.disk_inst)
-            yield self.site.disk.read(disk_page)
-            cpu = config.hash_inst * config.tuples_per_page(self._outer_tuple_bytes)
-            cpu += config.move_instructions(config.page_size)
-            yield from self.site.cpu.execute(cpu)
-            self._ready.extend(self._assembler.add(per_page_output))
+        """Join one spilled partition pair: build one side, probe the other.
 
-    def _partition_step_dynamic(self) -> typing.Generator:
-        """Dynamic-mode partition pair: role reversal + bounded recursion.
+        An elastic (dynamic) grant uses what the run has learned: when the
+        outer's share of a partition turned out *smaller* than the inner's,
+        the roles flip -- the smaller side builds the hash table (Shapiro's
+        heuristic generalized to runtime knowledge); a build side still
+        larger than the allocation triggers up to ``MAX_RECURSION_PASSES``
+        re-partitioning passes, each a full extra write+read of the pair,
+        after which it is processed regardless (matching how real systems
+        cap recursion on pathological skew); and the pair's output share
+        follows the resident fractions actually in force during the probe.
 
-        When the outer's share of a partition turned out *smaller* than the
-        inner's, the roles flip -- the smaller side builds the hash table
-        (Shapiro's heuristic generalized to runtime knowledge).  A build
-        side still larger than the allocation triggers up to
-        ``MAX_RECURSION_PASSES`` re-partitioning passes, each a full extra
-        write+read of the pair, after which it is processed regardless
-        (matching how real systems cap recursion on pathological skew).
+        A fixed grant (``min_pages == max_pages``: the static discipline)
+        keeps the paper's plan-time model instead: the inner always
+        builds, no overflow pass runs, and the spilled output is paced
+        from the estimate, evenly over the outer pages written.
         """
         assert self._inner_parts is not None and self._outer_parts is not None
         if self._partition_cursor >= len(self._inner_parts):
@@ -469,11 +422,12 @@ class HashJoinIterator(PhysicalOp):
         index = self._partition_cursor
         self._partition_cursor += 1
         config = self.config
+        fixed = self._fixed
         inner_pages = self._inner_parts.partition_pages(index)
         outer_pages = self._outer_parts.partition_pages(index)
         build_pages, probe_pages = inner_pages, outer_pages
         build_bytes, probe_bytes = self._inner_tuple_bytes, self._outer_tuple_bytes
-        if 0 < len(outer_pages) < len(inner_pages):
+        if not fixed and 0 < len(outer_pages) < len(inner_pages):
             build_pages, probe_pages = outer_pages, inner_pages
             build_bytes, probe_bytes = self._outer_tuple_bytes, self._inner_tuple_bytes
             self.role_reversals += 1
@@ -488,7 +442,8 @@ class HashJoinIterator(PhysicalOp):
         build_len = len(build_pages)
         passes = 0
         while (
-            build_len > 0
+            not fixed
+            and build_len > 0
             and HYBRID_HASH_FUDGE_FACTOR * build_len > self._buffer_pages
             and passes < self.MAX_RECURSION_PASSES
         ):
@@ -502,15 +457,15 @@ class HashJoinIterator(PhysicalOp):
             cpu = config.hash_inst * config.tuples_per_page(build_bytes)
             cpu += config.move_instructions(config.page_size)
             yield from self.site.cpu.execute(cpu)
-        # The partition's output share follows its *outer* pages no matter
-        # which side built; `_spilled_output_tuples` integrates the
-        # per-page resident fractions actually in force during the probe.
-        partition_output = (
-            self._spilled_output_tuples
-            * len(outer_pages)
-            / max(1, self._outer_parts.pages_written)
-        )
-        per_page_output = partition_output / max(1, len(probe_pages))
+        outer_written = max(1, self._outer_parts.pages_written)
+        if fixed:
+            spilled_output = self.est_output_tuples * (1.0 - self._hh.resident_fraction)
+            per_page_output = spilled_output / outer_written
+        else:
+            # The partition's output share follows its *outer* pages no
+            # matter which side built.
+            partition_output = self._spilled_output_tuples * len(outer_pages) / outer_written
+            per_page_output = partition_output / max(1, len(probe_pages))
         for disk_page in probe_pages:
             yield from self.site.cpu.execute(config.disk_inst)
             yield self.site.disk.read(disk_page)
@@ -571,7 +526,4 @@ class HashJoinIterator(PhysicalOp):
         if self._grant is not None:
             self._grant.release()
             self._grant = None
-            self._buffer_pages = 0
-        elif self._buffer_pages:
-            self.site.memory.release(self._buffer_pages)
             self._buffer_pages = 0

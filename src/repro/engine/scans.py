@@ -1,11 +1,12 @@
 """Scan operators: sequential server scans and client scans with faulting.
 
 A scan annotated ``primary copy`` reads the relation's extent sequentially
-from the server disk.  A scan annotated ``client`` reads the cached prefix
-from the client disk and *faults in* every missing page from the relation's
-server, one page at a time via a synchronous request/response exchange --
-the paper notes this page-at-a-time behaviour denies data-shipping the
-communication/processing overlap query-shipping gets (section 4.2.3).
+from the server disk.  A scan annotated ``client`` reads the pages resident
+in the client's buffer cache from the client disk and *faults in* every
+missing page from the relation's server, one page at a time via a
+synchronous request/response exchange -- the paper notes this
+page-at-a-time behaviour denies data-shipping the communication/processing
+overlap query-shipping gets (section 4.2.3).
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ class ScanIterator(PhysicalOp):
         self._home_server: "Site | None" = None
         self._home_disk_index = 0
         self._home_extent = None
-        self._cached = None  # CachedRelation when scanning at the client
-        self._buffer = None  # BufferCache when the client caches dynamically
+        self._buffer = None  # the client's BufferCache (installed by the catalog)
 
     def _open(self) -> typing.Generator:
         topology = self.context.topology
@@ -60,9 +60,6 @@ class ScanIterator(PhysicalOp):
         self._home_disk_index, self._home_extent = home.relation_location(self.relation)
         if self.site.is_client:
             self._buffer = self.site.buffer_cache
-            if self._buffer is None:
-                assert self.site.cache is not None
-                self._cached = self.site.cache.lookup(self.relation)
         elif self.site is not home:
             raise ExecutionError(
                 f"copy scan of {self.relation!r} bound to {self.site.name}, "
@@ -81,14 +78,10 @@ class ScanIterator(PhysicalOp):
             return None
         index = self._page_index
         self._page_index += 1
-        if not self.site.is_client:
-            yield from self._read_local_primary(index)
-        elif self._buffer is not None:
-            yield from self._read_dynamic(index)
-        elif self._cached is not None and self._cached.contains(index):
-            yield from self._read_client_cache(index)
+        if self.site.is_client:
+            yield from self._read_at_client(index)
         else:
-            yield from self._fault_from_server(index)
+            yield from self._read_local_primary(index)
         return Page(self._tuples_on_page(index), self.tuple_bytes)
 
     def _read_local_primary(self, index: int) -> typing.Generator:
@@ -97,18 +90,12 @@ class ScanIterator(PhysicalOp):
         disk = self.site.disks[self._home_disk_index]
         yield disk.read(self._home_extent.page(index))
 
-    def _read_client_cache(self, index: int) -> typing.Generator:
-        """Sequential read of a cached page from the client disk."""
-        yield from self.site.cpu.execute(self.config.disk_inst)
-        yield self.site.disk.read(self._cached.disk_page(index))
+    def _read_at_client(self, index: int) -> typing.Generator:
+        """Serve a resident page from the client disk, fault the rest.
 
-    def _read_dynamic(self, index: int) -> typing.Generator:
-        """Dynamic-cache read: serve resident pages locally, fault the rest.
-
-        A miss faults the page from the server exactly like the static
-        path, then (demand paging) admits it into the buffer cache and
-        writes it to the client disk, so later queries in the stream read
-        it locally.
+        A miss faults the page from the server; a cache that admits
+        (demand paging) then makes it resident and writes it to the client
+        disk, so later queries in the stream read it locally.
         """
         buffer = self._buffer
         assert buffer is not None
@@ -138,11 +125,10 @@ class ScanIterator(PhysicalOp):
         # next hit fails the version compare and re-faults.
         version = 0 if manager is None else manager.current_version(self.relation, index)
         yield from self._fault_from_server(index)
-        if buffer.admit_on_fault:
-            slot = buffer.admit(self.relation, index, version=version)
-            if slot is not None:
-                yield from self.site.cpu.execute(self.config.disk_inst)
-                yield self.site.disk.write(slot)
+        slot = buffer.admit(self.relation, index, version=version)
+        if slot is not None:
+            yield from self.site.cpu.execute(self.config.disk_inst)
+            yield self.site.disk.write(slot)
 
     def _fault_from_server(self, index: int) -> typing.Generator:
         """Synchronous page-at-a-time fault from the relation's server."""

@@ -16,10 +16,11 @@ models appends into the relation's tail pages and DELETE leaves
 tombstones -- neither grows nor shrinks the extent, which keeps the
 read-side cost model untouched.
 
-Writers participate in memory governance like joins do: each write
-acquires a page buffer at the acting primary -- a broker grant under
-dynamic memory, a static allocation otherwise -- so a write-heavy mix
-contends for server memory alongside query operators.
+Writers participate in memory governance like joins do: each write holds
+a broker grant for its page buffer at the acting primary -- one fixed page
+under static memory, up to one page per dirtied page under dynamic memory
+-- so a write-heavy mix contends for server memory alongside query
+operators.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 from repro.engine.base import Page, PhysicalOp
 from repro.errors import ExecutionError, NoReachableReplicaError
+from repro.storage.memory import grant_range
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.engine.executor import ExecutionContext
@@ -109,7 +111,6 @@ class WriteIterator(PhysicalOp):
         self._primary: "Site | None" = None
         self._replicas: "list[Site]" = []
         self._grant: "MemoryGrant | None" = None
-        self._static_pages = 0
 
     # ------------------------------------------------------------------
     # Copy resolution
@@ -138,13 +139,12 @@ class WriteIterator(PhysicalOp):
         self._resolve_copies()
         primary = self._primary
         assert primary is not None
-        pages = len(self.spec.page_indexes)
-        if self.config.memory.is_dynamic:
-            self._grant = yield from primary.memory.request(
-                1, pages, label=self.label
-            )
-        else:
-            self._static_pages = primary.memory.allocate(1)
+        min_pages, max_pages, waits = grant_range(
+            self.config, write_pages=len(self.spec.page_indexes)
+        )
+        self._grant = yield from primary.memory.request(
+            min_pages, max_pages, self.label, wait=waits
+        )
 
     # ------------------------------------------------------------------
     # Page application
@@ -202,9 +202,6 @@ class WriteIterator(PhysicalOp):
         if self._grant is not None:
             self._grant.release()
             self._grant = None
-        if self._static_pages and self._primary is not None:
-            self._primary.memory.release(self._static_pages)
-            self._static_pages = 0
 
     def _close(self) -> typing.Generator:
         self._release_memory()

@@ -20,7 +20,6 @@ from repro.errors import CatalogError, SiteUnavailableError
 from repro.hardware.cpu import CPU
 from repro.hardware.disk import Disk
 from repro.sim import Environment
-from repro.storage.cache import ClientDiskCache
 from repro.storage.layout import Extent, ExtentAllocator
 from repro.storage.memory import MemoryBroker
 
@@ -137,23 +136,16 @@ class Site:
         memory_pages = (
             config.client_memory_pages if kind is SiteKind.CLIENT else config.server_memory_pages
         )
-        # Always a broker: static-mode joins use the legacy allocate/release
-        # surface it inherits, dynamic-mode joins the grant/queue surface.
-        self.memory = MemoryBroker(
-            env,
-            memory_pages,
-            name=f"{self.name}.memory",
-            reclaim_enabled=config.memory.reclaim,
-        )
+        # Every join and write holds a grant from this broker; the static
+        # discipline asks for fixed grants that shed instead of queueing.
+        self.memory = MemoryBroker(env, memory_pages, name=f"{self.name}.memory")
         env.debug_dumpers.append(self.memory.describe_pressure)
+        env.stall_handlers.append(self.memory.shed_stalled_waiter)
         # Primary copies stored at this site: relation -> (disk index, extent).
         self._relations: dict[str, tuple[int, Extent]] = {}
         self._next_disk = 0
-        # Client-only disk cache (servers do no inter-query caching, 3.2.1).
-        self.cache = ClientDiskCache(self.allocators[0]) if kind is SiteKind.CLIENT else None
-        # Dynamic buffer cache (client-only); created by Catalog.install when
-        # the config's cache mode is "dynamic".  When set, it supersedes the
-        # static prefix cache for this client's scans.
+        # Client disk cache (servers do no inter-query caching, 3.2.1);
+        # created by Catalog.install, static or dynamic per the config.
         self.buffer_cache: "BufferCache | None" = None
         # Consistency-protocol counters (all zero in read-only runs):
         # clients count invalidations/validations/stale hits, servers

@@ -230,8 +230,8 @@ def register_topology_metrics(registry: MetricsRegistry, topology: "Topology") -
             f"{consistency}.write_pages", lambda s=site: s.consistency.write_pages
         )
         if site.is_client:
-            # Dynamic buffer-cache counters; all zero until (unless) a
-            # dynamic catalog install creates the client's buffer cache.
+            # Buffer-cache counters; all zero until a catalog install
+            # creates the client's buffer cache.
             cache = f"{base}.cache"
             registry.gauge(
                 f"{cache}.hits",
@@ -251,11 +251,7 @@ def register_topology_metrics(registry: MetricsRegistry, topology: "Topology") -
             )
             registry.gauge(
                 f"{cache}.resident_pages",
-                lambda s=site: (
-                    s.buffer_cache.resident_count
-                    if s.buffer_cache
-                    else (s.cache.total_cached_pages if s.cache else 0)
-                ),
+                lambda s=site: s.buffer_cache.resident_count if s.buffer_cache else 0,
             )
     network = topology.network
     registry.gauge("network.data_pages_sent", lambda: network.data_pages_sent)

@@ -57,9 +57,10 @@ def _environment_parts(environment: "EnvironmentState") -> list[str]:
         repr(environment.config),
         repr(sorted(environment.server_loads.items())),
         repr(environment.calibration),
-        # Dynamic cache view this optimization plans against: as the cache
-        # warms or churns, the digest changes and stale plans stop hitting.
-        "dynamic:" + state.digest() if state is not None else "static",
+        # Client cache view this optimization plans against: as the cache
+        # warms, churns or is invalidated, the digest changes and stale
+        # plans stop hitting.
+        "cache:" + state.digest() if state is not None else "nocache",
         # Broker occupancy this optimization prices against: plans chosen
         # under different memory pressure never alias in the cache.
         (

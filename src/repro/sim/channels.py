@@ -32,7 +32,8 @@ class Channel:
 
     Items are arbitrary Python objects (the execution engine ships page
     descriptors).  A closed channel delivers its remaining buffered items,
-    after which further :meth:`get` events fail with :class:`ChannelClosed`.
+    after which further :meth:`get` events fail with :class:`ChannelClosed`
+    -- or with the error the producer closed it with.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1, name: str = "") -> None:
@@ -42,6 +43,7 @@ class Channel:
         self.capacity = capacity
         self.name = name
         self.closed = False
+        self._error: BaseException | None = None
         self.items_passed = 0
         self._buffer: deque[typing.Any] = deque()
         self._putters: deque[tuple[Event, typing.Any]] = deque()
@@ -90,7 +92,7 @@ class Channel:
             self.items_passed += 1
             event.succeed(item)
         elif self.closed:
-            event.fail(ChannelClosed(self.name))
+            event.fail(self._end_of_stream())
         else:
             event.wait_reason = self._get_wait
             self._getters.append(event)
@@ -102,18 +104,26 @@ class Channel:
             self._buffer.append(item)
             putter.succeed()
 
-    def close(self) -> None:
-        """Mark end-of-stream; waiting consumers beyond the buffer fail."""
+    def close(self, error: BaseException | None = None) -> None:
+        """Mark end-of-stream; waiting consumers beyond the buffer fail.
+
+        They fail with :class:`ChannelClosed`, or with ``error`` when the
+        producer ended because of it.
+        """
         if self.closed:
             return
         self.closed = True
+        self._error = error
         while self._getters and self._buffer:
             getter = self._getters.popleft()
             self.items_passed += 1
             getter.succeed(self._buffer.popleft())
         for getter in self._getters:
-            getter.fail(ChannelClosed(self.name))
+            getter.fail(self._end_of_stream())
         self._getters.clear()
+
+    def _end_of_stream(self) -> BaseException:
+        return ChannelClosed(self.name) if self._error is None else self._error
 
     def __len__(self) -> int:
         return len(self._buffer)

@@ -187,6 +187,12 @@ class Environment:
         # idle) appended to the deadlock dump -- e.g. per-site memory-broker
         # grant/waiter queues, registered by the components themselves.
         self.debug_dumpers: list[typing.Callable[[], str]] = []
+        # Zero-argument callables tried in order when a run-until event
+        # can no longer fire because no event is left; one that unblocks a
+        # waiter (by failing its event) returns True and the run goes on.
+        # Registered by components whose waits only they can end, e.g.
+        # the per-site memory brokers.
+        self.stall_handlers: list[typing.Callable[[], bool]] = []
 
     def _register_process(self, process: Process) -> None:
         refs = self._processes
@@ -302,7 +308,9 @@ class Environment:
                             obj._resume(trigger)
                         continue
                 elif not queue:
-                    raise SimulationError(self._deadlock_message())
+                    if not any(handler() for handler in self.stall_handlers):
+                        raise SimulationError(self._deadlock_message())
+                    continue
                 entry = heappop(queue)
                 self._now = entry[0]
                 if len(entry) == 4:

@@ -1,25 +1,20 @@
-"""Storage management: disk extents, buffer memory, and the client cache."""
+"""Storage management: disk extents and buffer memory."""
 
 from repro.storage.layout import Extent, ExtentAllocator
 from repro.storage.memory import (
     HybridHashPlan,
     MemoryBroker,
     MemoryGrant,
-    MemoryManager,
     MemoryPressureState,
     plan_hybrid_hash,
 )
-from repro.storage.cache import CachedRelation, ClientDiskCache
 
 __all__ = [
-    "CachedRelation",
-    "ClientDiskCache",
     "Extent",
     "ExtentAllocator",
     "HybridHashPlan",
     "MemoryBroker",
     "MemoryGrant",
-    "MemoryManager",
     "MemoryPressureState",
     "plan_hybrid_hash",
 ]

@@ -19,7 +19,7 @@ import typing
 from collections import deque
 from dataclasses import dataclass
 
-from repro.config import HYBRID_HASH_FUDGE_FACTOR, BufferAllocation
+from repro.config import HYBRID_HASH_FUDGE_FACTOR, BufferAllocation, SystemConfig
 from repro.errors import ConfigurationError, MemoryExhaustedError, TransientFaultError
 from repro.sim.events import Event
 from repro.sim.monitor import EventHistory
@@ -28,7 +28,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
 
 __all__ = [
-    "MemoryManager",
     "MemoryBroker",
     "MemoryGrant",
     "MemoryPressureState",
@@ -36,6 +35,7 @@ __all__ = [
     "minimum_join_allocation",
     "maximum_join_allocation",
     "join_allocation",
+    "grant_range",
     "plan_hybrid_hash",
 ]
 
@@ -73,6 +73,28 @@ def join_allocation(
     if allocation is BufferAllocation.MINIMUM:
         return minimum_join_allocation(inner_pages, fudge)
     return maximum_join_allocation(inner_pages, fudge)
+
+
+def grant_range(
+    config: SystemConfig, inner_pages: int | None = None, write_pages: int = 1
+) -> tuple[int, int, bool]:
+    """``(min_pages, max_pages, waits)`` of one broker request.
+
+    A join asks for its inner's allocation (``inner_pages``), a write for
+    a buffer of up to ``write_pages`` pages.  The static discipline asks
+    for a *fixed* grant ``[n, n]`` -- Shapiro's plan-time allocation for a
+    join, one page for a write -- that never waits: a pool that cannot
+    cover it sheds the query.  The dynamic discipline asks for
+    ``[minimum, maximum]`` allocation (``[1, write_pages]`` for a write)
+    and queues when the pool is short.
+    """
+    dynamic = config.memory.is_dynamic
+    if inner_pages is None:
+        return 1, (write_pages if dynamic else 1), dynamic
+    if dynamic:
+        return minimum_join_allocation(inner_pages), maximum_join_allocation(inner_pages), True
+    pages = join_allocation(inner_pages, config.buffer_allocation)
+    return pages, pages, False
 
 
 @dataclass(frozen=True)
@@ -136,58 +158,6 @@ def plan_hybrid_hash(
     resident_frames = buffer_pages - partitions
     resident_fraction = min(1.0, max(0.0, resident_frames / needed))
     return HybridHashPlan(inner_pages, outer_pages, buffer_pages, partitions, resident_fraction)
-
-
-class MemoryManager:
-    """Tracks buffer-pool pages granted to operators at one site.
-
-    The paper assumes all buffers are empty at query start and that no data
-    is cached in main memory across queries (section 4.1), so this manager
-    only does capacity accounting -- there is no page replacement to model.
-    """
-
-    def __init__(self, capacity_pages: int, name: str = "") -> None:
-        if capacity_pages < 1:
-            raise ConfigurationError("memory capacity must be at least one page")
-        self.capacity_pages = capacity_pages
-        self.name = name
-        self.allocated_pages = 0
-        self.high_water_mark = 0
-
-    @property
-    def available_pages(self) -> int:
-        return self.capacity_pages - self.allocated_pages
-
-    def allocate(self, pages: int) -> int:
-        """Grant ``pages`` frames; raises if the pool would be oversubscribed.
-
-        Under the static allocation discipline an oversubscribed pool sheds
-        the query (:class:`MemoryExhaustedError` is a
-        :class:`~repro.errors.QueryShedError`): plan-time grants cannot
-        shrink, so waiting could deadlock and failing is the only safe
-        outcome.  The dynamic broker below queues instead.
-        """
-        if pages < 0:
-            raise ConfigurationError(f"cannot allocate {pages} pages")
-        if pages > self.available_pages:
-            raise MemoryExhaustedError(
-                f"buffer pool {self.name!r} exhausted: requested {pages}, "
-                f"available {self.available_pages} of {self.capacity_pages}"
-            )
-        self.allocated_pages += pages
-        self.high_water_mark = max(self.high_water_mark, self.allocated_pages)
-        return pages
-
-    def release(self, pages: int) -> None:
-        """Return previously granted frames."""
-        if pages < 0 or pages > self.allocated_pages:
-            raise ConfigurationError(
-                f"bad release of {pages} pages (allocated {self.allocated_pages})"
-            )
-        self.allocated_pages -= pages
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<MemoryManager {self.name!r} {self.allocated_pages}/{self.capacity_pages}>"
 
 
 class MemoryGrant:
@@ -256,10 +226,11 @@ class _GrantWaiter:
         self.started = started
 
 
-class MemoryBroker(MemoryManager):
+class MemoryBroker:
     """Per-site join-memory arbiter with grants, a wait queue, and reclaim.
 
-    Three rules make saturation safe and deterministic:
+    Every join and write holds a :class:`MemoryGrant`.  Four rules make
+    saturation safe and deterministic:
 
     - **grant >= minimum or queue**: a request is satisfied with at least its
       minimum allocation (up to its maximum, greedily) or not at all -- no
@@ -273,11 +244,17 @@ class MemoryBroker(MemoryManager):
       oldest first) via its ``on_reclaim`` callback; holders shrink by
       spilling, never abort.  A request whose minimum exceeds total
       capacity can never be satisfied and fails immediately
-      (:class:`~repro.errors.MemoryExhaustedError`) instead of deadlocking.
+      (:class:`~repro.errors.MemoryExhaustedError`) instead of deadlocking;
+    - **shed only a wait that cannot end**: when the whole simulation has
+      run out of events while requests still queue here (every holder is
+      itself blocked, so no release will ever come), the broker sheds its
+      newest waiter (:meth:`shed_stalled_waiter`) so that session's
+      grants flow back.
 
-    The legacy :class:`MemoryManager` ``allocate``/``release`` surface stays
-    intact for the static discipline, so one object serves both modes and
-    metrics read a single source of truth.
+    A request that must not wait (``wait=False``: the static discipline's
+    fixed plan-time grant, see :func:`grant_range`) sheds the query with
+    :class:`~repro.errors.MemoryExhaustedError` when the pool cannot cover
+    it right now.
 
     ``history`` folds every event's ``(time, kind, label, pages)`` into an
     event count and a running digest (:class:`~repro.sim.monitor.EventHistory`)
@@ -287,16 +264,14 @@ class MemoryBroker(MemoryManager):
     live grants and queue.
     """
 
-    def __init__(
-        self,
-        env: "Environment",
-        capacity_pages: int,
-        name: str = "",
-        reclaim_enabled: bool = True,
-    ) -> None:
-        super().__init__(capacity_pages, name=name)
+    def __init__(self, env: "Environment", capacity_pages: int, name: str = "") -> None:
+        if capacity_pages < 1:
+            raise ConfigurationError("memory capacity must be at least one page")
         self.env = env
-        self.reclaim_enabled = reclaim_enabled
+        self.capacity_pages = capacity_pages
+        self.name = name
+        self.allocated_pages = 0
+        self.high_water_mark = 0
         self._grants: list[MemoryGrant] = []
         self._waiters: deque[_GrantWaiter] = deque()
         self.grants_issued = 0
@@ -311,16 +286,20 @@ class MemoryBroker(MemoryManager):
     # Request surface
     # ------------------------------------------------------------------
     @property
+    def available_pages(self) -> int:
+        return self.capacity_pages - self.allocated_pages
+
+    @property
     def waiting(self) -> int:
         """Number of queued grant requests."""
         return len(self._waiters)
 
-    def _check_range(self, min_pages: int, max_pages: int, label: str) -> None:
+    def _check_range(self, min_pages: int, max_pages: int, label: str, wait: bool) -> None:
         if min_pages < 1 or max_pages < min_pages:
             raise ConfigurationError(
                 f"bad grant range [{min_pages}, {max_pages}] for {label!r}"
             )
-        if min_pages > self.capacity_pages:
+        if wait and min_pages > self.capacity_pages:
             # Forward-progress rule: no amount of waiting or reclaiming can
             # ever free more than the pool holds.
             raise MemoryExhaustedError(
@@ -334,21 +313,27 @@ class MemoryBroker(MemoryManager):
         max_pages: int,
         label: str,
         on_reclaim: "typing.Callable[[int], int] | None" = None,
+        wait: bool = True,
     ) -> MemoryGrant | None:
         """Issue a grant synchronously if possible, else return None.
 
         Purely synchronous -- no events are created and no simulated time
-        passes, so on an uncontended pool the dynamic discipline is
-        event-for-event identical to a static allocation.
+        passes, so on an uncontended pool a dynamic request is
+        event-for-event identical to a fixed one.  With ``wait=False`` a
+        request the pool cannot cover sheds instead of returning None.
         """
-        self._check_range(min_pages, max_pages, label)
-        if self._waiters:
-            return None  # FIFO: never overtake the queue
-        if self.available_pages < min_pages and self.reclaim_enabled:
-            self._reclaim(min_pages - self.available_pages)
-        if self.available_pages < min_pages:
-            return None
-        return self._issue(min_pages, max_pages, label, on_reclaim)
+        self._check_range(min_pages, max_pages, label, wait)
+        if not self._waiters:  # FIFO: never overtake the queue
+            if self.available_pages < min_pages:
+                self._reclaim(min_pages - self.available_pages)
+            if self.available_pages >= min_pages:
+                return self._issue(min_pages, max_pages, label, on_reclaim)
+        if not wait:
+            raise MemoryExhaustedError(
+                f"buffer pool {self.name!r} exhausted: requested {min_pages}, "
+                f"available {self.available_pages} of {self.capacity_pages}"
+            )
+        return None
 
     def enqueue(
         self,
@@ -358,7 +343,7 @@ class MemoryBroker(MemoryManager):
         on_reclaim: "typing.Callable[[int], int] | None" = None,
     ) -> _GrantWaiter:
         """Queue a grant request; the waiter's event succeeds with the grant."""
-        self._check_range(min_pages, max_pages, label)
+        self._check_range(min_pages, max_pages, label, wait=True)
         event = Event(self.env)
         event.wait_reason = f"memory grant [{min_pages}..{max_pages}] from {self.name!r}"
         waiter = _GrantWaiter(event, min_pages, max_pages, label, on_reclaim, self.env.now)
@@ -374,9 +359,10 @@ class MemoryBroker(MemoryManager):
         max_pages: int,
         label: str,
         on_reclaim: "typing.Callable[[int], int] | None" = None,
+        wait: bool = True,
     ) -> typing.Generator[typing.Any, typing.Any, MemoryGrant]:
         """Process-style convenience: ``grant = yield from broker.request(...)``."""
-        grant = self.try_grant(min_pages, max_pages, label, on_reclaim)
+        grant = self.try_grant(min_pages, max_pages, label, on_reclaim, wait)
         if grant is None:
             waiter = self.enqueue(min_pages, max_pages, label, on_reclaim)
             grant = yield waiter.event
@@ -405,6 +391,29 @@ class MemoryBroker(MemoryManager):
             )
         self._drain()
 
+    def shed_stalled_waiter(self) -> bool:
+        """Shed the newest queued request; True if there was one.
+
+        The environment calls this only once it has no event left to run
+        (see :attr:`~repro.sim.Environment.stall_handlers`): nothing can
+        release memory any more, so every queued request would wait
+        forever.  Shedding the newest one fails its event with
+        :class:`~repro.errors.MemoryExhaustedError`; its session aborts and
+        releases whatever it holds, which lets older waiters proceed.
+        """
+        if not self._waiters:
+            return False
+        waiter = self._waiters.pop()
+        self._log("shed", waiter.label, waiter.min_pages)
+        waiter.event.fail(
+            MemoryExhaustedError(
+                f"buffer pool {self.name!r} deadlocked: {waiter.label!r} waited "
+                f"for {waiter.min_pages} pages while every holder was blocked "
+                f"({self.allocated_pages}/{self.capacity_pages} pages granted)"
+            )
+        )
+        return True
+
     # ------------------------------------------------------------------
     # Internal machinery
     # ------------------------------------------------------------------
@@ -428,7 +437,7 @@ class MemoryBroker(MemoryManager):
         return grant
 
     def _release_grant(self, grant: MemoryGrant) -> None:
-        super().release(grant.pages)
+        self.allocated_pages -= grant.pages
         self._grants.remove(grant)
         self._log("release", grant.label, grant.pages)
         self._drain()
@@ -448,7 +457,7 @@ class MemoryBroker(MemoryManager):
             if freed == 0:
                 continue
             grant.pages -= freed
-            super().release(freed)
+            self.allocated_pages -= freed
             self.reclaims += 1
             self.reclaimed_pages += freed
             freed_total += freed
@@ -460,7 +469,7 @@ class MemoryBroker(MemoryManager):
         """Serve the queue head while it can be satisfied (strict FIFO)."""
         while self._waiters:
             head = self._waiters[0]
-            if self.available_pages < head.min_pages and self.reclaim_enabled:
+            if self.available_pages < head.min_pages:
                 self._reclaim(head.min_pages - self.available_pages)
             if self.available_pages < head.min_pages:
                 break
@@ -522,7 +531,7 @@ class MemoryPressureState:
     def capture(cls, sites: "typing.Iterable[typing.Any]") -> "MemoryPressureState":
         rows = sorted(
             (site.site_id, site.memory.capacity_pages, site.memory.allocated_pages,
-             getattr(site.memory, "waiting", 0))
+             site.memory.waiting)
             for site in sites
         )
         return cls(sites=tuple(rows))

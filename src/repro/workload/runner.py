@@ -90,7 +90,7 @@ class WorkloadRunner:
         client scans admit faulted-in pages, so streams warm up).  In
         dynamic mode each session is planned at submission time against its
         client's live :class:`~repro.caching.CacheState`; ``"static"`` is
-        the paper's immutable-prefix model used by the figure
+        the paper's fixed-prefix model used by the figure
         reproductions.
         """
         if num_clients < 1:

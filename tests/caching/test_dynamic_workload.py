@@ -177,7 +177,7 @@ class TestSingleQueryPath:
         assert result.cache_state.total_resident > 0
         assert result.cache_state.misses > 0
 
-    def test_static_config_reports_no_cache_state(self):
+    def test_static_config_reports_seeded_cache_state(self):
         scenario = chain_scenario(
             num_relations=2, num_servers=1, cached_fraction=0.5, placement_seed=3
         )
@@ -187,4 +187,9 @@ class TestSingleQueryPath:
             policy=Policy.DATA_SHIPPING,
             seed=3,
         ).optimize().plan
-        assert scenario.execute(plan, seed=3).cache_state is None
+        state = scenario.execute(plan, seed=3).cache_state
+        # The static cache serves its seeded prefixes and admits nothing.
+        assert state.resident == (("R0", 125), ("R1", 125))
+        assert state.capacity_pages == 250
+        assert state.hits == 250 and state.misses == 250
+        assert state.admissions == 0

@@ -113,7 +113,7 @@ class TestCatalog:
         catalog.install(topology)
         assert topology.servers[0].stores("A")
         assert topology.servers[1].stores("B")
-        assert topology.client.cache.cached_pages("A") == 125
+        assert topology.client.buffer_cache.resident_pages("A") == 125
 
     def test_install_needs_enough_servers(self):
         catalog = self._catalog()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import api
 from repro.hardware.site import client_site_id
 from repro.plans.policies import Policy
 from repro.workload import StreamConfig, WorkloadRunner
@@ -60,6 +61,29 @@ class TestZeroStaleServed:
         assert stale > 0, "sweep never exercised a stale cached page"
         assert validations > stale
         assert runner.last_topology.consistency.stale_served == 0
+
+    def test_static_caches_are_invalidated_too(self):
+        # A static cache never admits, but its seeded prefix goes stale
+        # when a server page under it is written; the protocol must drop
+        # those pages just as it does from a dynamic cache.
+        result = api.run_workload(
+            policy="data",
+            num_clients=4,
+            queries_per_client=6,
+            num_relations=2,
+            num_servers=1,
+            cached_fraction=1.0,
+            write_fraction=0.5,
+            write_pages=4,
+            cache="static",
+            seed=3,
+        )
+        profile = result.profile
+        assert profile["site.server1.consistency.write_pages"] > 0
+        for ordinal in range(4):
+            name = "client" if ordinal == 0 else f"client{ordinal}"
+            assert profile[f"site.{name}.consistency.invalidations"] > 0
+            assert profile[f"site.{name}.cache.admissions"] == 0
 
     def test_writes_reach_every_replica(self):
         _, result = run_mix("invalidation", write_fraction=1.0, seed=1)

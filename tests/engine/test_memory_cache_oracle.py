@@ -1,14 +1,12 @@
-"""Exact results pinned across the join-memory and client-cache paths.
+"""Exact results pinned for the join-memory and client-cache paths.
 
 Each point runs one optimized chain-join query end to end and compares
-every simulated metric the engine reports with the value recorded when
-static memory still allocated from a plain page counter and static client
-caches were per-relation disk extents.  The static rows must not move when
-both static modes run through the broker and the buffer cache: the
-minimum-allocation ``hisel`` points are the ones where a fixed grant
-would otherwise take recursive overflow passes (DS 4-way, seed 3) or pace
-its spilled output from the measured integral (QS 4-way, two servers,
-seed 7).  The dynamic rows pin the broker's uncontended maximal grant.
+every simulated metric the engine reports with a pinned value.  The
+static rows pin the paper's plan-time model: the minimum-allocation
+``hisel`` points are the ones where a fixed grant would move if it took
+recursive overflow passes (DS 4-way, seed 3) or reversed build and probe
+roles (QS 4-way, two servers, seed 7).  The dynamic rows pin the broker's
+uncontended maximal grant.
 
 The workload point gives one client its own static cache contents
 (``client_caches``), so the per-client prefix layout on the client disk

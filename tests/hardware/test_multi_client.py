@@ -55,11 +55,12 @@ class TestMultiClientTopology:
         assert topology.site(0) is topology.clients[0]
         assert topology.site(1) is topology.servers[0]
 
-    def test_each_client_has_its_own_cache(self, env):
+    def test_each_client_has_its_own_cache(self, env, catalog):
         topology = Topology(env, SystemConfig(num_servers=1, num_clients=2), seed=1)
+        catalog.install(topology)
         first, second = topology.clients
-        assert first.cache is not None and second.cache is not None
-        assert first.cache is not second.cache
+        assert first.buffer_cache is not None and second.buffer_cache is not None
+        assert first.buffer_cache is not second.buffer_cache
 
     def test_sites_enumerates_clients_then_servers(self, env):
         topology = Topology(env, SystemConfig(num_servers=2, num_clients=2), seed=1)
@@ -89,20 +90,19 @@ class TestCatalogInstall:
         topology = Topology(env, SystemConfig(num_servers=1, num_clients=2), seed=1)
         catalog.install(topology)
         for client in topology.clients:
-            assert client.cache.cached_pages("A") > 0
-            assert client.cache.cached_pages("B") > 0
+            assert client.buffer_cache.resident_pages("A") > 0
+            assert client.buffer_cache.resident_pages("B") > 0
 
     def test_per_client_cache_overrides(self, env, catalog):
         topology = Topology(env, SystemConfig(num_servers=1, num_clients=2), seed=1)
         catalog.install(topology, client_caches={-1: {"A": 1.0}})
         first, second = topology.clients
         # Client 0 keeps the catalog-level fractions.
-        assert first.cache.cached_pages("A") > 0
-        assert first.cache.cached_pages("B") > 0
+        assert first.buffer_cache.resident_pages("A") > 0
+        assert first.buffer_cache.resident_pages("B") > 0
         # Client -1 was overridden: all of A, none of B.
-        entry = second.cache.lookup("A")
-        assert entry is not None and entry.cached_pages == entry.total_pages
-        assert second.cache.cached_pages("B") == 0
+        assert second.buffer_cache.resident_pages("A") == catalog.pages_of("A", topology.config)
+        assert second.buffer_cache.resident_pages("B") == 0
 
     def test_unknown_client_site_rejected(self, env, catalog):
         topology = Topology(env, SystemConfig(num_servers=1, num_clients=1), seed=1)

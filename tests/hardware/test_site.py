@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.catalog import Catalog, Placement, Relation
 from repro.config import SystemConfig
 from repro.errors import CatalogError, ConfigurationError
 from repro.hardware import SiteKind, Topology
@@ -65,8 +66,10 @@ class TestSiteStorage:
             topology.servers[0].relation_location("nope")
 
     def test_client_has_cache_servers_do_not(self, topology):
-        assert topology.client.cache is not None
-        assert all(server.cache is None for server in topology.servers)
+        catalog = Catalog([Relation("A", 10_000)], Placement({"A": 1}), {"A": 0.5})
+        catalog.install(topology)
+        assert topology.client.buffer_cache is not None
+        assert all(server.buffer_cache is None for server in topology.servers)
 
 
 class TestTempFiles:

@@ -1,13 +1,14 @@
-"""Unit tests for buffer accounting, Shapiro's formulas, and the broker."""
+"""Unit tests for Shapiro's formulas, grant ranges, and the broker."""
 
 
 import pytest
 
-from repro.config import HYBRID_HASH_FUDGE_FACTOR, BufferAllocation
+from repro.config import HYBRID_HASH_FUDGE_FACTOR, BufferAllocation, MemoryConfig, SystemConfig
 from repro.errors import ConfigurationError, MemoryExhaustedError, TransientFaultError
 from repro.sim import Environment
-from repro.storage import MemoryBroker, MemoryManager, MemoryPressureState, plan_hybrid_hash
+from repro.storage import MemoryBroker, MemoryPressureState, plan_hybrid_hash
 from repro.storage.memory import (
+    grant_range,
     join_allocation,
     maximum_join_allocation,
     minimum_join_allocation,
@@ -95,38 +96,63 @@ class TestHybridHashPlan:
             plan_hybrid_hash(250, 250, 1)
 
 
-class TestMemoryManager:
-    def test_allocate_release(self):
-        memory = MemoryManager(100)
-        memory.allocate(60)
-        assert memory.available_pages == 40
-        memory.release(60)
-        assert memory.available_pages == 100
+class TestFixedGrants:
+    """The static discipline: fixed grants that shed instead of queueing."""
 
-    def test_oversubscription_sheds(self):
+    def make(self, capacity=100):
+        env = Environment()
+        return MemoryBroker(env, capacity, name="site.memory")
+
+    def test_fixed_grant_release(self):
+        broker = self.make()
+        grant = broker.try_grant(60, 60, "join#0", wait=False)
+        assert grant.pages == 60
+        assert broker.available_pages == 40
+        grant.release()
+        assert broker.available_pages == 100
+
+    def test_fixed_grant_oversubscription_sheds(self):
         # Static-discipline exhaustion is a shed (load control), not a
         # configuration bug: MemoryExhaustedError is a QueryShedError.
-        memory = MemoryManager(100)
-        memory.allocate(80)
-        with pytest.raises(MemoryExhaustedError, match="exhausted"):
-            memory.allocate(30)
+        broker = self.make()
+        broker.try_grant(80, 80, "a", wait=False)
+        with pytest.raises(MemoryExhaustedError, match="requested 30, available 20 of 100"):
+            broker.try_grant(30, 30, "b", wait=False)
+        assert broker.waiting == 0
+
+    def test_fixed_grant_beyond_capacity_sheds_like_any_other(self):
+        broker = self.make()
+        with pytest.raises(MemoryExhaustedError, match="requested 130, available 100 of 100"):
+            broker.try_grant(130, 130, "a", wait=False)
 
     def test_high_water_mark(self):
-        memory = MemoryManager(100)
-        memory.allocate(50)
-        memory.allocate(30)
-        memory.release(70)
-        assert memory.high_water_mark == 80
-
-    def test_bad_release_rejected(self):
-        memory = MemoryManager(100)
-        memory.allocate(10)
-        with pytest.raises(ConfigurationError):
-            memory.release(20)
+        broker = self.make()
+        first = broker.try_grant(50, 50, "a", wait=False)
+        broker.try_grant(30, 30, "b", wait=False)
+        first.release()
+        assert broker.high_water_mark == 80
 
     def test_invalid_capacity(self):
         with pytest.raises(ConfigurationError):
-            MemoryManager(0)
+            MemoryBroker(Environment(), 0)
+
+
+class TestGrantRange:
+    def config(self, mode, allocation=BufferAllocation.MINIMUM):
+        return SystemConfig(buffer_allocation=allocation, memory=MemoryConfig(mode=mode))
+
+    def test_static_join_asks_for_fixed_plan_time_allocation(self):
+        assert grant_range(self.config("static"), 250) == (18, 18, False)
+        maximum = self.config("static", BufferAllocation.MAXIMUM)
+        assert grant_range(maximum, 250) == (300, 300, False)
+
+    def test_dynamic_join_asks_for_minimum_to_maximum(self):
+        for allocation in BufferAllocation:
+            assert grant_range(self.config("dynamic", allocation), 250) == (18, 300, True)
+
+    def test_write_buffer(self):
+        assert grant_range(self.config("static"), write_pages=4) == (1, 1, False)
+        assert grant_range(self.config("dynamic"), write_pages=4) == (1, 4, True)
 
 
 def _drive(env, generator, name="request"):
@@ -135,9 +161,9 @@ def _drive(env, generator, name="request"):
 
 
 class TestMemoryBroker:
-    def make(self, capacity=100, reclaim=True):
+    def make(self, capacity=100):
         env = Environment()
-        return env, MemoryBroker(env, capacity, name="site.memory", reclaim_enabled=reclaim)
+        return env, MemoryBroker(env, capacity, name="site.memory")
 
     def test_uncontended_grant_is_synchronous_and_maximal(self):
         _env, broker = self.make()
@@ -229,11 +255,48 @@ class TestMemoryBroker:
         assert broker.try_grant(25, 30, "b") is None  # only 20 reclaimable
         assert first.pages == 30  # shrunk exactly to its minimum
 
-    def test_reclaim_disabled_only_queues(self):
-        _env, broker = self.make(capacity=50, reclaim=False)
-        first = broker.try_grant(10, 50, "a", lambda pages: pages)
-        assert first.pages == 50
-        assert broker.try_grant(10, 20, "b") is None
+    def test_stalled_waiters_are_shed_newest_first(self):
+        env, broker = self.make(capacity=50)
+        holder = broker.try_grant(40, 40, "holder")
+        env.stall_handlers.append(broker.shed_stalled_waiter)
+        outcomes = []
+
+        def requester(label):
+            try:
+                yield from broker.request(20, 20, label)
+            except MemoryExhaustedError as exc:
+                outcomes.append((label, "shed", env.now))
+                assert "deadlocked" in str(exc)
+            else:
+                outcomes.append((label, "granted", env.now))
+
+        def release_after(process):
+            yield process
+            holder.release()
+
+        first = _drive(env, requester("first"))
+        second = _drive(env, requester("second"))
+        _drive(env, release_after(second))
+        env.run(until=first)
+        # Nothing could ever free memory: the newest waiter is shed, its
+        # end lets the holder release, and the older waiter is served.
+        assert outcomes == [("second", "shed", 0.0), ("first", "granted", 0.0)]
+        assert broker.waiting == 0
+
+    def test_waiter_that_a_release_will_serve_is_not_shed(self):
+        env, broker = self.make(capacity=50)
+        holder = broker.try_grant(40, 40, "holder")
+        env.stall_handlers.append(broker.shed_stalled_waiter)
+
+        def release_later():
+            yield env.timeout(2.0)
+            holder.release()
+
+        _drive(env, release_later())
+        waiter = _drive(env, broker.request(20, 20, "late"))
+        grant = env.run(until=waiter)
+        assert grant.pages == 20
+        assert env.now == 2.0
 
     def test_cancel_queued_waiter_fails_event(self):
         env, broker = self.make(capacity=50)
