@@ -1,7 +1,7 @@
 """The client buffer cache and its immutable snapshot.
 
 One :class:`BufferCache` manages a contiguous arena of client-disk pages
-(allocated once, up front) and maps ``(relation, page index)`` keys onto
+(allocated once, up front) and maps ``(relation, page index)`` pages onto
 arena slots.  Lookups and admissions update hit/miss/eviction/admission
 counters and the replacement policy; :meth:`BufferCache.snapshot` freezes
 the per-relation resident summary into a :class:`CacheState` the
@@ -73,6 +73,11 @@ class CacheState:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
+#: A page's key inside a cache is ``relation ordinal << 32 | page index``.
+_INDEX_BITS = 32
+_INDEX_MASK = (1 << _INDEX_BITS) - 1
+
+
 class BufferCache:
     """Page-grained cache over one client disk.
 
@@ -84,6 +89,14 @@ class BufferCache:
     counters -- the paper's "resident before the query starts" assumption.
     A cache built with ``admits=False`` (the static model) never admits:
     it serves its seeded prefixes and only shrinks, by invalidation.
+
+    Internally a resident page costs one hash entry: the policy's recency
+    map holds ``key -> arena slot``, with the int key
+    ``ordinal << 32 | page index`` and the relation's ordinal taken from a
+    per-cache name table that only ``seed`` and ``admit`` extend.  Version
+    stamps are stored only when non-zero, and per-relation resident counts
+    are kept up to date so snapshots cost O(relations).  Page indices must
+    lie in ``[0, 2**32)``.
     """
 
     def __init__(
@@ -100,13 +113,18 @@ class BufferCache:
         self.admits = admits
         self._policy = make_policy(policy)
         self._extent = allocator.allocate(capacity_pages)
-        # (relation, page index) -> arena slot.  Slots are handed out in
-        # ascending order; freed slots are reused LIFO (deterministic).
-        self._slots: dict[tuple[str, int], int] = {}
-        # (relation, page index) -> page version stamp, maintained for every
-        # resident page.  Version 0 is "as loaded"; writers bump the global
-        # version table and the consistency protocol compares against this.
-        self._versions: dict[tuple[str, int], int] = {}
+        # Resident key -> arena slot: the policy's own recency map.  Slots
+        # are handed out in ascending order; freed slots are reused LIFO
+        # (deterministic).
+        self._slots = self._policy.slots
+        # Relation name <-> ordinal, and resident pages per ordinal.
+        self._ordinals: dict[str, int] = {}
+        self._names: list[str] = []
+        self._resident: list[int] = []
+        # Resident key -> page version stamp, for stamps != 0 only.
+        # Version 0 is "as loaded"; writers bump the global version table
+        # and the consistency protocol compares against this.
+        self._versions: dict[int, int] = {}
         self._next_slot = 0
         self._free: list[int] = []
         # Demand counters (seeding is tracked separately).
@@ -120,6 +138,23 @@ class BufferCache:
         #: compared across reruns by the determinism tests.
         self.eviction_history = EventHistory()
 
+    def _ordinal(self, relation: str) -> int:
+        """The relation's ordinal, adding it to the name table if new."""
+        ordinal = self._ordinals.get(relation)
+        if ordinal is None:
+            ordinal = len(self._names)
+            self._ordinals[relation] = ordinal
+            self._names.append(relation)
+            self._resident.append(0)
+        return ordinal
+
+    def _key(self, relation: str, page_index: int) -> int | None:
+        """Key of a page of a known relation; None (no entry) otherwise."""
+        ordinal = self._ordinals.get(relation)
+        if ordinal is None:
+            return None
+        return ordinal << _INDEX_BITS | page_index
+
     # ------------------------------------------------------------------
     # Residency
     # ------------------------------------------------------------------
@@ -129,20 +164,22 @@ class BufferCache:
 
     def resident_pages(self, relation: str) -> int:
         """Resident pages of one relation (any pages, not just a prefix)."""
-        return sum(1 for name, _ in self._slots if name == relation)
+        ordinal = self._ordinals.get(relation)
+        return 0 if ordinal is None else self._resident[ordinal]
 
     def contains(self, relation: str, page_index: int) -> bool:
         """Residency check without touching counters or the policy."""
-        return (relation, page_index) in self._slots
+        return self._key(relation, page_index) in self._slots
 
     def lookup(self, relation: str, page_index: int) -> int | None:
         """Absolute client-disk page holding ``page_index``, or None (miss)."""
-        slot = self._slots.get((relation, page_index))
+        key = self._key(relation, page_index)
+        slot = self._slots.get(key)
         if slot is None:
             self.misses += 1
             return None
         self.hits += 1
-        self._policy.touch((relation, page_index))
+        self._policy.touch(key)
         return self._extent.page(slot)
 
     # ------------------------------------------------------------------
@@ -155,11 +192,20 @@ class BufferCache:
             slot = self._next_slot
             self._next_slot += 1
             return slot
-        victim = self._policy.evict()
+        victim, slot = self._policy.evict()
+        ordinal = victim >> _INDEX_BITS
+        self._resident[ordinal] -= 1
         self.evictions += 1
-        self.eviction_history.record(*victim)
+        self.eviction_history.record(self._names[ordinal], victim & _INDEX_MASK)
         self._versions.pop(victim, None)
-        return self._slots.pop(victim)
+        return slot
+
+    def _place(self, key: int) -> int:
+        """Give a non-resident key a slot (evicting if full)."""
+        slot = self._take_slot()
+        self._policy.admit(key, slot)
+        self._resident[key >> _INDEX_BITS] += 1
+        return slot
 
     def admit(self, relation: str, page_index: int, version: int = 0) -> int | None:
         """Make a page resident; returns its client-disk page.
@@ -171,22 +217,27 @@ class BufferCache:
         """
         if not self.admits or self.capacity_pages == 0:
             return None
-        key = (relation, page_index)
+        if not 0 <= page_index <= _INDEX_MASK:
+            raise ConfigurationError(f"page index {page_index} outside [0, 2**32)")
+        key = self._ordinal(relation) << _INDEX_BITS | page_index
         slot = self._slots.get(key)
         if slot is not None:
             self._policy.touch(key)
+        else:
+            slot = self._place(key)
+            self.admissions += 1
+        if version:
             self._versions[key] = version
-            return self._extent.page(slot)
-        slot = self._take_slot()
-        self._slots[key] = slot
-        self._versions[key] = version
-        self._policy.admit(key)
-        self.admissions += 1
+        else:
+            self._versions.pop(key, None)
         return self._extent.page(slot)
 
     def version_of(self, relation: str, page_index: int) -> int | None:
         """Version stamp of a resident page, or None if not resident."""
-        return self._versions.get((relation, page_index))
+        key = self._key(relation, page_index)
+        if key not in self._slots:
+            return None
+        return self._versions.get(key, 0)
 
     def invalidate(self, relation: str, page_index: int) -> bool:
         """Drop a (possibly stale) page from the cache; True if it was resident.
@@ -196,12 +247,14 @@ class BufferCache:
         separately, bypasses the policy's victim choice, and never appears
         in ``eviction_history``.
         """
-        key = (relation, page_index)
-        slot = self._slots.pop(key, None)
+        key = self._key(relation, page_index)
+        if key is None:
+            return False
+        slot = self._policy.discard(key)
         if slot is None:
             return False
         self._versions.pop(key, None)
-        self._policy.discard(key)
+        self._resident[key >> _INDEX_BITS] -= 1
         self._free.append(slot)
         self.invalidations += 1
         return True
@@ -212,19 +265,19 @@ class BufferCache:
         Stops at capacity (seeding never evicts); returns how many pages
         were actually seeded.
         """
+        if pages > _INDEX_MASK + 1:
+            raise ConfigurationError(f"cannot seed {pages} pages: indices stop at 2**32")
+        base = self._ordinal(relation) << _INDEX_BITS
         placed = 0
         for index in range(pages):
             if len(self._slots) >= self.capacity_pages:
                 break
-            key = (relation, index)
+            key = base | index
             if key in self._slots:
                 continue
-            slot = self._take_slot()
-            self._slots[key] = slot
-            self._versions[key] = 0
-            self._policy.admit(key)
-            self.seeded += 1
+            self._place(key)
             placed += 1
+        self.seeded += placed
         return placed
 
     # ------------------------------------------------------------------
@@ -232,12 +285,12 @@ class BufferCache:
     # ------------------------------------------------------------------
     def snapshot(self) -> CacheState:
         """Freeze the current residency + counters into a :class:`CacheState`."""
-        per_relation: dict[str, int] = {}
-        for name, _ in self._slots:
-            per_relation[name] = per_relation.get(name, 0) + 1
+        resident = sorted(
+            (name, pages) for name, pages in zip(self._names, self._resident) if pages
+        )
         return CacheState(
             capacity_pages=self.capacity_pages,
-            resident=tuple(sorted(per_relation.items())),
+            resident=tuple(resident),
             hits=self.hits,
             misses=self.misses,
             evictions=self.evictions,

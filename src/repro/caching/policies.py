@@ -1,10 +1,10 @@
 """Replacement policies for the dynamic client buffer cache.
 
-A policy tracks the set of resident page keys and answers one question:
-which key goes next?  Everything is deterministic -- the eviction order is
-a pure function of the admit/touch history, so two runs that issue the
-same reference stream produce byte-identical eviction sequences (asserted
-in ``tests/caching``).
+A policy maps each resident page key to the arena slot holding it and
+answers one question: which key goes next?  Everything is deterministic --
+the eviction order is a pure function of the admit/touch history, so two
+runs that issue the same reference stream produce byte-identical eviction
+sequences (asserted in ``tests/caching``).
 
 LRU is the sensible default for the paper's sequential scan streams at
 full-database capacity (nothing ever evicts); MRU is the classic antidote
@@ -16,6 +16,7 @@ ship.
 
 from __future__ import annotations
 
+import typing
 from collections import OrderedDict
 
 from repro.errors import ConfigurationError
@@ -29,33 +30,42 @@ __all__ = [
     "make_policy",
 ]
 
-#: Page key: (relation name, page index within the relation).
-Key = tuple[str, int]
+#: Page key: any hashable; the buffer cache uses ``ordinal << 32 | index``.
+Key = typing.Hashable
 
 
 class ReplacementPolicy:
-    """Interface: track resident keys, pick eviction victims."""
+    """Interface: map resident keys to arena slots, pick eviction victims.
+
+    ``slots`` (key -> slot of every resident key) is the buffer cache's
+    residency map as well as the policy's recency structure, so a resident
+    page costs one hash entry in total.
+    """
 
     name = "?"
+    slots: typing.MutableMapping[Key, int]
 
-    def admit(self, key: Key) -> None:
-        """A new key became resident."""
+    def admit(self, key: Key, slot: int) -> None:
+        """A new key became resident in arena slot ``slot``."""
         raise NotImplementedError
 
     def touch(self, key: Key) -> None:
         """A resident key was referenced (cache hit)."""
         raise NotImplementedError
 
-    def evict(self) -> Key:
-        """Choose, remove, and return the next victim."""
+    def evict(self) -> tuple[Key, int]:
+        """Choose and remove the next victim; returns ``(key, slot)``."""
         raise NotImplementedError
 
-    def discard(self, key: Key) -> None:
-        """Forget a key without electing it (consistency invalidation)."""
+    def discard(self, key: Key) -> int | None:
+        """Forget a key without electing it (consistency invalidation).
+
+        Returns the slot it held, or None if it was not resident.
+        """
         raise NotImplementedError
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return len(self.slots)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} resident={len(self)}>"
@@ -67,26 +77,23 @@ class LRUPolicy(ReplacementPolicy):
     name = "lru"
 
     def __init__(self) -> None:
-        self._order: "OrderedDict[Key, None]" = OrderedDict()
+        # Ordered oldest reference first.
+        self.slots: "OrderedDict[Key, int]" = OrderedDict()
 
-    def admit(self, key: Key) -> None:
-        self._order[key] = None
-        self._order.move_to_end(key)
+    def admit(self, key: Key, slot: int) -> None:
+        self.slots[key] = slot
+        self.slots.move_to_end(key)
 
     def touch(self, key: Key) -> None:
-        self._order.move_to_end(key)
+        self.slots.move_to_end(key)
 
-    def evict(self) -> Key:
-        if not self._order:
+    def evict(self) -> tuple[Key, int]:
+        if not self.slots:
             raise ConfigurationError("evict() on an empty replacement policy")
-        key, _ = self._order.popitem(last=False)
-        return key
+        return self.slots.popitem(last=False)
 
-    def discard(self, key: Key) -> None:
-        self._order.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._order)
+    def discard(self, key: Key) -> int | None:
+        return self.slots.pop(key, None)
 
 
 class MRUPolicy(LRUPolicy):
@@ -94,11 +101,10 @@ class MRUPolicy(LRUPolicy):
 
     name = "mru"
 
-    def evict(self) -> Key:
-        if not self._order:
+    def evict(self) -> tuple[Key, int]:
+        if not self.slots:
             raise ConfigurationError("evict() on an empty replacement policy")
-        key, _ = self._order.popitem(last=True)
-        return key
+        return self.slots.popitem(last=True)
 
 
 class ClockPolicy(ReplacementPolicy):
@@ -106,52 +112,57 @@ class ClockPolicy(ReplacementPolicy):
 
     Admitted and touched keys get their reference bit set; the hand clears
     set bits as it passes and evicts the first key found with a clear bit.
+    The bits live in a bytearray indexed by arena slot.
     """
 
     name = "clock"
 
     def __init__(self) -> None:
+        self.slots: dict[Key, int] = {}
         self._ring: list[Key] = []
-        self._ref: dict[Key, bool] = {}
+        self._ref = bytearray()
         self._hand = 0
 
-    def admit(self, key: Key) -> None:
-        if key not in self._ref:
+    def admit(self, key: Key, slot: int) -> None:
+        if key not in self.slots:
             # New keys join just behind the hand, so the full sweep passes
             # them last (standard CLOCK insertion order).
             self._ring.insert(self._hand, key)
             self._hand += 1
-        self._ref[key] = True
+        self.slots[key] = slot
+        if slot >= len(self._ref):
+            self._ref.extend(bytes(slot + 1 - len(self._ref)))
+        self._ref[slot] = 1
 
     def touch(self, key: Key) -> None:
-        self._ref[key] = True
+        self._ref[self.slots[key]] = 1
 
-    def evict(self) -> Key:
+    def evict(self) -> tuple[Key, int]:
         if not self._ring:
             raise ConfigurationError("evict() on an empty replacement policy")
+        ring, ref = self._ring, self._ref
         while True:
-            if self._hand >= len(self._ring):
+            if self._hand >= len(ring):
                 self._hand = 0
-            key = self._ring[self._hand]
-            if self._ref[key]:
-                self._ref[key] = False
+            key = ring[self._hand]
+            slot = self.slots[key]
+            if ref[slot]:
+                ref[slot] = 0
                 self._hand += 1
             else:
-                del self._ring[self._hand]
-                del self._ref[key]
-                return key
+                del ring[self._hand]
+                del self.slots[key]
+                return key, slot
 
-    def discard(self, key: Key) -> None:
-        if key not in self._ref:
-            return
+    def discard(self, key: Key) -> int | None:
+        slot = self.slots.pop(key, None)
+        if slot is None:
+            return None
         index = self._ring.index(key)
         del self._ring[index]
-        del self._ref[key]
         if index < self._hand:
             self._hand -= 1
-
-    def __len__(self) -> int:
-        return len(self._ring)
+        return slot
 
 
 POLICY_NAMES = ("lru", "mru", "clock")

@@ -15,33 +15,48 @@ Three instrument kinds:
   snapshotted as ``name.count`` / ``name.mean`` / ``name.min`` / ``name.max``;
 - :class:`Gauge` -- a zero-cost callable sampled only at snapshot time
   (how existing hardware statistics are pulled in without touching their
-  hot paths).
+  hot paths).  Topology gauges come from module-level ``(leaf, getter)``
+  tables applied to each site, disk and client, so a gauge holds a shared
+  getter and its owner rather than a closure of its own.
 """
 
 from __future__ import annotations
 
 import typing
+from operator import attrgetter, methodcaller
 
 from repro.sim.monitor import Counter, Tally
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.hardware.disk import Disk
+    from repro.hardware.network import Network
+    from repro.hardware.site import Site
     from repro.hardware.topology import Topology
 
-__all__ = ["Gauge", "MetricsRegistry", "register_topology_metrics"]
+__all__ = ["Gauge", "MetricsRegistry", "register_gauges", "register_topology_metrics"]
 
 
 class Gauge:
-    """A named metric sampled on demand from a callable."""
+    """A named metric sampled on demand: ``fn(owner)``, or ``fn()`` unowned.
 
-    __slots__ = ("name", "fn")
+    An owner lets one module-level getter serve every device of a kind
+    (``attrgetter("reads")`` for each disk) instead of a closure per gauge.
+    """
 
-    def __init__(self, name: str, fn: typing.Callable[[], float]) -> None:
+    __slots__ = ("name", "fn", "owner")
+
+    def __init__(
+        self, name: str, fn: typing.Callable[..., float], owner: typing.Any = None
+    ) -> None:
         self.name = name
         self.fn = fn
+        self.owner = owner
 
     @property
     def value(self) -> float:
-        return self.fn()
+        if self.owner is None:
+            return self.fn()
+        return self.fn(self.owner)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Gauge {self.name!r}={self.value}>"
@@ -76,9 +91,14 @@ class MetricsRegistry:
             raise TypeError(f"metric {name!r} is a {type(instrument).__name__}, not a Tally")
         return instrument
 
-    def gauge(self, name: str, fn: typing.Callable[[], float]) -> Gauge:
-        """Register (or replace) a sampled gauge called ``name``."""
-        instrument = Gauge(name, fn)
+    def gauge(
+        self, name: str, fn: typing.Callable[..., float], owner: typing.Any = None
+    ) -> Gauge:
+        """Register (or replace) a sampled gauge called ``name``.
+
+        Its value is ``fn(owner)``, or ``fn()`` when ``owner`` is None.
+        """
+        instrument = Gauge(name, fn, owner)
         self._instruments[name] = instrument
         return instrument
 
@@ -170,6 +190,89 @@ class MetricsRegistry:
         return f"<MetricsRegistry instruments={len(self._instruments)}>"
 
 
+def _cache_reader(attribute: str) -> typing.Callable[["Site"], int]:
+    """Getter for one buffer-cache statistic; 0 until a cache exists."""
+    read = attrgetter(attribute)
+
+    def getter(site: "Site") -> int:
+        cache = site.buffer_cache
+        return read(cache) if cache else 0
+
+    return getter
+
+
+#: ``(leaf, getter)`` pairs registered as ``site.<name>.<leaf>``, read from
+#: the site.  Memory-broker ``granted``/``waiting`` are state (kept absolute
+#: in deltas); the rest are cumulative counters.  The consistency leaves
+#: are always registered (all zero on read-only runs) so profiles have a
+#: stable shape: servers accumulate ``write_pages``, clients the others.
+SITE_GAUGES: tuple[tuple[str, typing.Callable[["Site"], float]], ...] = (
+    ("cpu.instructions", attrgetter("cpu.instructions_executed")),
+    ("cpu.busy_time", attrgetter("cpu.busy_time")),
+    ("cpu.utilization", lambda site: site.cpu.utilization()),
+    ("memory.high_water_pages", attrgetter("memory.high_water_mark")),
+    ("memory.granted", attrgetter("memory.allocated_pages")),
+    ("memory.waiting", attrgetter("memory.waiting")),
+    ("memory.reclaims", attrgetter("memory.reclaims")),
+    ("memory.reclaimed_pages", attrgetter("memory.reclaimed_pages")),
+    ("memory.spill_pages", attrgetter("memory.spill_pages")),
+    ("memory.grants_issued", attrgetter("memory.grants_issued")),
+    ("memory.wait_count", attrgetter("memory.wait_count")),
+    ("memory.total_wait_time", attrgetter("memory.total_wait_time")),
+    ("crashes", attrgetter("crash_count")),
+    ("downtime", attrgetter("total_downtime")),
+    ("consistency.invalidations", attrgetter("consistency.invalidations")),
+    ("consistency.validations", attrgetter("consistency.validations")),
+    ("consistency.stale_hits", attrgetter("consistency.stale_hits")),
+    ("consistency.write_pages", attrgetter("consistency.write_pages")),
+)
+
+#: Registered as ``site.<name>.disk<i>.<leaf>``, read from the disk.
+DISK_GAUGES: tuple[tuple[str, typing.Callable[["Disk"], float]], ...] = (
+    ("pages_read", attrgetter("reads")),
+    ("pages_written", attrgetter("writes")),
+    ("cache_hits", attrgetter("cache_hits")),
+    ("sequential_ios", attrgetter("sequential_ios")),
+    ("random_ios", attrgetter("random_ios")),
+    ("faulted_requests", attrgetter("faulted_requests")),
+    ("busy_time", lambda disk: disk.monitor.elapsed_busy_time()),
+    ("utilization", methodcaller("utilization")),
+    ("queue_utilization", methodcaller("queue_utilization")),
+)
+
+#: Client sites only: buffer-cache counters, all zero until a catalog
+#: install creates the client's buffer cache.
+CLIENT_GAUGES: tuple[tuple[str, typing.Callable[["Site"], float]], ...] = (
+    ("cache.hits", _cache_reader("hits")),
+    ("cache.misses", _cache_reader("misses")),
+    ("cache.evictions", _cache_reader("evictions")),
+    ("cache.admissions", _cache_reader("admissions")),
+    ("cache.resident_pages", _cache_reader("resident_count")),
+)
+
+#: Registered as ``network.<leaf>``, read from the network.
+NETWORK_GAUGES: tuple[tuple[str, typing.Callable[["Network"], float]], ...] = (
+    ("data_pages_sent", attrgetter("data_pages_sent")),
+    ("control_messages_sent", attrgetter("control_messages_sent")),
+    ("bytes_sent", attrgetter("bytes_sent")),
+    ("messages_dropped", attrgetter("messages_dropped")),
+    ("outages", attrgetter("outage_count")),
+    ("busy_time", attrgetter("busy_time")),
+    ("utilization", methodcaller("utilization")),
+)
+
+
+def register_gauges(
+    registry: MetricsRegistry,
+    prefix: str,
+    owner: typing.Any,
+    table: typing.Iterable[tuple[str, typing.Callable[[typing.Any], float]]],
+) -> None:
+    """Register ``prefix.<leaf>`` for every ``(leaf, getter)`` of ``table``."""
+    for leaf, getter in table:
+        registry.gauge(f"{prefix}.{leaf}", getter, owner)
+
+
 def register_topology_metrics(registry: MetricsRegistry, topology: "Topology") -> None:
     """Register every hardware statistic of a topology under ``site.*``.
 
@@ -179,85 +282,9 @@ def register_topology_metrics(registry: MetricsRegistry, topology: "Topology") -
     """
     for site in topology.sites:
         base = f"site.{site.name}"
-        cpu = site.cpu
-        registry.gauge(f"{base}.cpu.instructions", lambda c=cpu: c.instructions_executed)
-        registry.gauge(f"{base}.cpu.busy_time", lambda c=cpu: c.busy_time)
-        registry.gauge(f"{base}.cpu.utilization", lambda c=cpu: c.utilization())
-        registry.gauge(
-            f"{base}.memory.high_water_pages", lambda m=site.memory: m.high_water_mark
-        )
-        # Memory-broker occupancy and activity (granted/waiting are state,
-        # kept absolute in deltas; the rest are cumulative counters).
-        registry.gauge(f"{base}.memory.granted", lambda m=site.memory: m.allocated_pages)
-        registry.gauge(f"{base}.memory.waiting", lambda m=site.memory: m.waiting)
-        registry.gauge(f"{base}.memory.reclaims", lambda m=site.memory: m.reclaims)
-        registry.gauge(
-            f"{base}.memory.reclaimed_pages", lambda m=site.memory: m.reclaimed_pages
-        )
-        registry.gauge(f"{base}.memory.spill_pages", lambda m=site.memory: m.spill_pages)
-        registry.gauge(f"{base}.memory.grants_issued", lambda m=site.memory: m.grants_issued)
-        registry.gauge(f"{base}.memory.wait_count", lambda m=site.memory: m.wait_count)
-        registry.gauge(
-            f"{base}.memory.total_wait_time", lambda m=site.memory: m.total_wait_time
-        )
+        register_gauges(registry, base, site, SITE_GAUGES)
         for index, disk in enumerate(site.disks):
-            prefix = f"{base}.disk{index}"
-            registry.gauge(f"{prefix}.pages_read", lambda d=disk: d.reads)
-            registry.gauge(f"{prefix}.pages_written", lambda d=disk: d.writes)
-            registry.gauge(f"{prefix}.cache_hits", lambda d=disk: d.cache_hits)
-            registry.gauge(f"{prefix}.sequential_ios", lambda d=disk: d.sequential_ios)
-            registry.gauge(f"{prefix}.random_ios", lambda d=disk: d.random_ios)
-            registry.gauge(f"{prefix}.faulted_requests", lambda d=disk: d.faulted_requests)
-            registry.gauge(f"{prefix}.busy_time", lambda d=disk: d.monitor.elapsed_busy_time())
-            registry.gauge(f"{prefix}.utilization", lambda d=disk: d.utilization())
-            registry.gauge(f"{prefix}.queue_utilization", lambda d=disk: d.queue_utilization())
-        registry.gauge(f"{base}.crashes", lambda s=site: s.crash_count)
-        registry.gauge(f"{base}.downtime", lambda s=site: s.total_downtime)
-        # Cache-consistency activity: always registered (all zero on
-        # read-only runs) so profiles have a stable shape either way.
-        # Servers accumulate write_pages; clients the other three.
-        consistency = f"{base}.consistency"
-        registry.gauge(
-            f"{consistency}.invalidations", lambda s=site: s.consistency.invalidations
-        )
-        registry.gauge(
-            f"{consistency}.validations", lambda s=site: s.consistency.validations
-        )
-        registry.gauge(
-            f"{consistency}.stale_hits", lambda s=site: s.consistency.stale_hits
-        )
-        registry.gauge(
-            f"{consistency}.write_pages", lambda s=site: s.consistency.write_pages
-        )
+            register_gauges(registry, f"{base}.disk{index}", disk, DISK_GAUGES)
         if site.is_client:
-            # Buffer-cache counters; all zero until a catalog install
-            # creates the client's buffer cache.
-            cache = f"{base}.cache"
-            registry.gauge(
-                f"{cache}.hits",
-                lambda s=site: s.buffer_cache.hits if s.buffer_cache else 0,
-            )
-            registry.gauge(
-                f"{cache}.misses",
-                lambda s=site: s.buffer_cache.misses if s.buffer_cache else 0,
-            )
-            registry.gauge(
-                f"{cache}.evictions",
-                lambda s=site: s.buffer_cache.evictions if s.buffer_cache else 0,
-            )
-            registry.gauge(
-                f"{cache}.admissions",
-                lambda s=site: s.buffer_cache.admissions if s.buffer_cache else 0,
-            )
-            registry.gauge(
-                f"{cache}.resident_pages",
-                lambda s=site: s.buffer_cache.resident_count if s.buffer_cache else 0,
-            )
-    network = topology.network
-    registry.gauge("network.data_pages_sent", lambda: network.data_pages_sent)
-    registry.gauge("network.control_messages_sent", lambda: network.control_messages_sent)
-    registry.gauge("network.bytes_sent", lambda: network.bytes_sent)
-    registry.gauge("network.messages_dropped", lambda: network.messages_dropped)
-    registry.gauge("network.outages", lambda: network.outage_count)
-    registry.gauge("network.busy_time", lambda: network.busy_time)
-    registry.gauge("network.utilization", network.utilization)
+            register_gauges(registry, base, site, CLIENT_GAUGES)
+    register_gauges(registry, "network", topology.network, NETWORK_GAUGES)

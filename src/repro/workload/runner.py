@@ -20,6 +20,7 @@ from __future__ import annotations
 import gc
 import typing
 from dataclasses import replace
+from operator import attrgetter
 
 import random
 
@@ -34,6 +35,7 @@ from repro.faults.recovery import RecoveryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.hardware.site import client_site_id
 from repro.hardware.topology import Topology
+from repro.obs.metrics import register_gauges
 from repro.optimizer.cache import PlanCache
 from repro.optimizer.two_phase import RandomizedOptimizer
 from repro.plans.operators import DisplayOp
@@ -49,6 +51,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.scenarios import Scenario
 
 __all__ = ["WorkloadRunner"]
+
+#: Per-server admission occupancy gauges, ``admission.server<id>.<leaf>``.
+ADMISSION_GAUGES = (
+    ("queued", attrgetter("waiting")),
+    ("running", attrgetter("running")),
+)
 
 
 class WorkloadRunner:
@@ -222,12 +230,8 @@ class WorkloadRunner:
             # Queue-depth gauges: zero-cost occupancy reads, so admission
             # pressure shows up in profiles and telemetry series.
             for sid in sorted(controllers):
-                controller = controllers[sid]
-                topology.metrics.gauge(
-                    f"admission.server{sid}.queued", lambda c=controller: c.waiting
-                )
-                topology.metrics.gauge(
-                    f"admission.server{sid}.running", lambda c=controller: c.running
+                register_gauges(
+                    topology.metrics, f"admission.server{sid}", controllers[sid], ADMISSION_GAUGES
                 )
         sampler = None
         if self.telemetry is not None:

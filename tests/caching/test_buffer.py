@@ -1,6 +1,7 @@
 """BufferCache unit tests: residency, capacity, seeding, snapshots."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -149,6 +150,48 @@ class TestSnapshots:
         assert state1 == state2
         assert history1 == history2
         assert history1.count > 0
+
+
+class TestKeys:
+    """Int keys from a per-cache name table; stamps stored only when != 0."""
+
+    def test_probing_unknown_relations_leaves_state_unchanged(self):
+        cache = make_cache(8)
+        cache.seed("A", 2)
+        before = cache.snapshot()
+        assert not cache.contains("B", 0)
+        assert cache.version_of("B", 0) is None
+        assert not cache.invalidate("B", 0)
+        assert cache.lookup("B", 0) is None
+        # Only the miss counter moved; the name table still holds just "A".
+        assert cache._names == ["A"] and list(cache._ordinals) == ["A"]
+        assert cache.snapshot() == replace(before, misses=1)
+
+    def test_a_cache_that_never_admits_never_learns_names(self):
+        cache = make_cache(8, admits=False)
+        assert cache.admit("A", 0) is None
+        assert cache._names == []
+
+    def test_version_stamps_are_sparse(self):
+        cache = make_cache(8)
+        cache.seed("A", 3)
+        cache.admit("A", 5, version=0)
+        assert cache.version_of("A", 0) == 0 and cache.version_of("A", 5) == 0
+        assert cache.version_of("A", 6) is None
+        assert cache._versions == {}
+        cache.admit("A", 5, version=2)
+        assert cache.version_of("A", 5) == 2 and len(cache._versions) == 1
+        cache.admit("A", 5, version=0)  # refreshed back to "as loaded"
+        assert cache.version_of("A", 5) == 0 and cache._versions == {}
+
+    def test_page_index_outside_key_range_rejected(self):
+        cache = make_cache(8)
+        for index in (-1, 2**32):
+            with pytest.raises(ConfigurationError):
+                cache.admit("A", index)
+        cache.admit("A", 2**32 - 1)
+        assert cache.contains("A", 2**32 - 1)
+        assert cache.resident_pages("A") == 1
 
 
 class TestConfig:

@@ -94,6 +94,18 @@ class TestInvalidationProtocol:
         assert topology.network.control_messages_sent == 0
         assert topology.clients[0].consistency.invalidations == 0
 
+    def test_commit_to_an_uncached_relation_leaves_caches_untouched(self, env):
+        # Every commit probes every client's cache; probing a relation a
+        # cache never held must not add it to the cache's name table.
+        topology = Topology(env, SystemConfig(num_servers=1, num_clients=2), seed=1)
+        manager = make_protocol("invalidation", topology)
+        client = _client_with_cache(topology, relation="A", pages=(0, 1))
+        topology.clients[1].buffer_cache = BufferCache(ExtentAllocator(200), 16)
+        _drive(env, manager.commit_write(topology.servers[0], "B", (0, 1, 2)))
+        assert client.buffer_cache._names == ["A"]
+        assert topology.clients[1].buffer_cache._names == []
+        assert topology.network.control_messages_sent == 0
+
     def test_hit_in_callback_flight_window_is_detected_locally(self, env):
         # A version bump the callback has not delivered yet: the local
         # compare still refuses to serve the stale copy.
