@@ -28,7 +28,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.obs import Tracer, write_chrome_trace
 from repro.obs.telemetry import TelemetryConfig
 from repro.optimizer.cache import PlanCache
-from repro.optimizer.two_phase import RandomizedOptimizer
+from repro.optimizer.two_phase import optimize
 from repro.plans.binding import bind_plan
 from repro.plans.logical import UDF_SITES
 from repro.plans.operators import DisplayOp
@@ -237,7 +237,7 @@ def run_query(
         server_load=server_load,
         config=_parse_memory(memory, server_memory_pages),
     )
-    optimization = RandomizedOptimizer(
+    optimization = optimize(
         scenario.query,
         scenario.environment(),
         policy=parsed_policy,
@@ -245,7 +245,7 @@ def run_query(
         config=optimizer_config,
         seed=seed,
         plan_cache=plan_cache,
-    ).optimize()
+    )
     tracer, trace_path = _resolve_trace(trace)
     result = None
     try:
@@ -341,7 +341,7 @@ def run_sql(
                 _dc_replace(udf, site=udf_site) for udf in scenario.query.udfs
             ),
         )
-    optimization = RandomizedOptimizer(
+    optimization = optimize(
         scenario.query,
         scenario.environment(),
         policy=parsed_policy,
@@ -349,7 +349,7 @@ def run_sql(
         config=optimizer_config,
         seed=seed,
         plan_cache=plan_cache,
-    ).optimize()
+    )
     tracer, trace_path = _resolve_trace(trace)
     result = None
     try:

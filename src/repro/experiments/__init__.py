@@ -8,7 +8,7 @@ that the 90% confidence intervals ... were within 5%", section 4.1).
 """
 
 from repro.experiments.stats import PointEstimate, summarize
-from repro.experiments.runner import RunSettings, measure_plan, measure_policy
+from repro.experiments.runner import RunSettings
 from repro.experiments.report import render_figure
 from repro.experiments.figures import (
     FigureResult,
@@ -51,8 +51,6 @@ __all__ = [
     "figure10",
     "figure11",
     "function_shipping",
-    "measure_plan",
-    "measure_policy",
     "memory_contention",
     "qs_under_load_text",
     "render_figure",

@@ -11,8 +11,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 import time
+import typing
 
 from repro.config import OptimizerConfig
 from repro.experiments import figures
@@ -22,27 +24,69 @@ from repro.optimizer.cache import PlanCache
 
 __all__ = ["main"]
 
-_FIGURES = {
-    "fig2": figures.figure2,
-    "fig3": figures.figure3,
-    "fig4": figures.figure4,
-    "fig5": figures.figure5,
-    "fig6": figures.figure6,
-    "fig7": figures.figure7,
-    "fig8": figures.figure8,
-    "fig10": figures.figure10,
-    "fig11": figures.figure11,
-    "qs-load": figures.qs_under_load_text,
-    "fault-sweep": figures.availability_sweep,
-    "function-shipping": figures.function_shipping,
-    "throughput-sweep": figures.throughput_sweep,
-    "utilization-timeline": figures.utilization_timeline,
-    "cache-warmup": figures.cache_warmup,
-    "memory-contention": figures.memory_contention,
-    "write-mix": figures.write_mix,
+
+class _Experiment(typing.NamedTuple):
+    """One runnable experiment: its function, sweep flags and --quick grid."""
+
+    function: typing.Callable[..., figures.FigureResult]
+    # CLI flag (argparse dest) -> (function parameter, conversion of the value)
+    flags: dict[str, tuple[str, typing.Callable]]
+    # function parameter -> value under --quick, unless a flag sets it
+    quick: dict[str, object]
+
+
+_first = operator.itemgetter(0)
+_CACHE = {"cache": ("cache_fractions", tuple)}
+_SERVERS = {"servers": ("server_counts", tuple)}
+_CLIENTS = {"clients": ("client_counts", tuple)}
+_QUICK_SERVERS = {"server_counts": (1, 2, 5, 10)}
+
+_TABLES = {"table1": figures.table1, "table2": figures.table2}
+_EXPERIMENTS = {
+    "fig2": _Experiment(figures.figure2, _CACHE, {}),
+    "fig3": _Experiment(figures.figure3, _CACHE, {}),
+    "fig4": _Experiment(figures.figure4, _CACHE, {}),
+    "fig5": _Experiment(figures.figure5, _CACHE, {}),
+    "fig6": _Experiment(figures.figure6, _SERVERS, _QUICK_SERVERS),
+    "fig7": _Experiment(figures.figure7, _SERVERS, _QUICK_SERVERS),
+    "fig8": _Experiment(figures.figure8, _SERVERS, _QUICK_SERVERS),
+    "fig10": _Experiment(figures.figure10, _SERVERS, _QUICK_SERVERS),
+    "fig11": _Experiment(figures.figure11, _SERVERS, _QUICK_SERVERS),
+    "qs-load": _Experiment(figures.qs_under_load_text, {}, {}),
+    "fault-sweep": _Experiment(
+        figures.availability_sweep, {"mtbf": ("mtbf_values", tuple)}, {"mtbf_values": (5.0, 20.0)}
+    ),
+    "function-shipping": _Experiment(
+        figures.function_shipping,
+        {"udf_costs": ("udf_costs", tuple)},
+        {"udf_costs": (0.0, 8000.0, 128000.0)},
+    ),
+    "throughput-sweep": _Experiment(
+        figures.throughput_sweep, _CLIENTS, {"client_counts": (1, 2, 4)}
+    ),
+    "utilization-timeline": _Experiment(
+        figures.utilization_timeline, {"cache": ("cached_fraction", _first)}, {"interval": 1.0}
+    ),
+    "cache-warmup": _Experiment(
+        figures.cache_warmup,
+        {"queries": ("queries_per_client", int), "replacement": ("replacement", str)},
+        {"queries_per_client": 3},
+    ),
+    "memory-contention": _Experiment(
+        figures.memory_contention, _CLIENTS, {"client_counts": (2, 4)}
+    ),
+    "write-mix": _Experiment(
+        figures.write_mix,
+        {
+            "write_fractions": ("write_fractions", tuple),
+            "clients": ("num_clients", _first),
+            "queries": ("queries_per_client", int),
+        },
+        {"write_fractions": (0.0, 0.5), "num_clients": 2, "queries_per_client": 2},
+    ),
+    "two-step-caching": _Experiment(figures.two_step_caching, _CACHE, {}),
 }
-_SERVER_FIGURES = {"fig6", "fig7", "fig8", "fig10", "fig11"}
-_CACHE_FIGURES = {"fig2", "fig3", "fig4", "fig5"}
+_SWEEP_FLAGS = sorted({flag for e in _EXPERIMENTS.values() for flag in e.flags})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiment",
         nargs="?",
-        choices=["table1", "table2", "all", *sorted(_FIGURES)],
+        choices=[*_TABLES, "all", *sorted(_EXPERIMENTS)],
         help="which table/figure to regenerate",
     )
     parser.add_argument(
@@ -135,68 +179,34 @@ def _settings(args: argparse.Namespace) -> RunSettings:
     return settings
 
 
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject sweep flags that the single named experiment does not take."""
+    experiment = _EXPERIMENTS.get(args.experiment)
+    accepted = experiment.flags if experiment else {}
+    ignored = [f for f in _SWEEP_FLAGS if getattr(args, f) is not None and f not in accepted]
+    if ignored:
+        takes = ", ".join(_option(f) for f in accepted) or "no sweep flags"
+        parser.error(
+            f"{args.experiment} does not take {', '.join(map(_option, ignored))} "
+            f"(it takes {takes})"
+        )
+
+
 def _run_one(name: str, args: argparse.Namespace) -> None:
-    settings = _settings(args)
-    function = _FIGURES[name]
-    kwargs: dict = {"settings": settings}
-    if name in _SERVER_FIGURES:
-        if args.servers:
-            kwargs["server_counts"] = tuple(args.servers)
-        elif args.quick:
-            kwargs["server_counts"] = (1, 2, 5, 10)
-    if name in _CACHE_FIGURES and args.cache:
-        kwargs["cache_fractions"] = tuple(args.cache)
-    if name == "qs-load":
-        kwargs.pop("server_counts", None)
-    if name == "fault-sweep":
-        if args.mtbf:
-            kwargs["mtbf_values"] = tuple(args.mtbf)
-        elif args.quick:
-            kwargs["mtbf_values"] = (5.0, 20.0)
-    if name == "throughput-sweep":
-        if args.clients:
-            kwargs["client_counts"] = tuple(args.clients)
-        elif args.quick:
-            kwargs["client_counts"] = (1, 2, 4)
-    if name == "utilization-timeline":
-        if args.cache:
-            kwargs["cached_fraction"] = args.cache[0]
-        if args.quick:
-            kwargs["interval"] = 1.0
-    if name == "memory-contention":
-        if args.clients:
-            kwargs["client_counts"] = tuple(args.clients)
-        elif args.quick:
-            kwargs["client_counts"] = (2, 4)
-    if name == "cache-warmup":
-        if args.queries:
-            kwargs["queries_per_client"] = args.queries
-        elif args.quick:
-            kwargs["queries_per_client"] = 3
-        if args.replacement:
-            kwargs["replacement"] = args.replacement
-    if name == "write-mix":
-        if args.write_fractions:
-            kwargs["write_fractions"] = tuple(args.write_fractions)
-        elif args.quick:
-            kwargs["write_fractions"] = (0.0, 0.5)
-        if args.clients:
-            kwargs["num_clients"] = args.clients[0]
-        elif args.quick:
-            kwargs["num_clients"] = 2
-        if args.queries:
-            kwargs["queries_per_client"] = args.queries
-        elif args.quick:
-            kwargs["queries_per_client"] = 2
-    if name == "function-shipping":
-        if args.udf_costs:
-            kwargs["udf_costs"] = tuple(args.udf_costs)
-        elif args.quick:
-            kwargs["udf_costs"] = (0.0, 8000.0, 128000.0)
-    if args.jobs > 1:
-        kwargs["jobs"] = args.jobs
+    experiment = _EXPERIMENTS[name]
+    kwargs: dict = {"settings": _settings(args), "jobs": args.jobs}
+    if args.quick:
+        kwargs.update(experiment.quick)
+    for flag, (parameter, convert) in experiment.flags.items():
+        value = getattr(args, flag)
+        if value is not None:
+            kwargs[parameter] = convert(value)
     started = time.time()
-    result = function(**kwargs)
+    result = experiment.function(**kwargs)
     print(render_figure(result))
     print(f"\n[{name} regenerated in {time.time() - started:.1f}s]")
 
@@ -205,18 +215,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.list:
-        for name in ["table1", "table2", *sorted(_FIGURES)]:
+        for name in [*_TABLES, *sorted(_EXPERIMENTS)]:
             print(name)
         return 0
     if args.experiment is None:
         parser.error("an experiment name (or --list) is required")
-    if args.experiment == "table1":
-        print(figures.table1())
+    if args.experiment != "all":
+        _check_flags(parser, args)
+    if args.experiment in _TABLES:
+        print(_TABLES[args.experiment]())
         return 0
-    if args.experiment == "table2":
-        print(figures.table2())
-        return 0
-    names = sorted(_FIGURES) if args.experiment == "all" else [args.experiment]
+    names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         _run_one(name, args)
         print()

@@ -9,6 +9,7 @@ integration tests; absolute values depend on the simulated hardware.
 
 from __future__ import annotations
 
+import functools
 import typing
 from dataclasses import dataclass, field
 
@@ -17,14 +18,15 @@ from repro.config import BufferAllocation, MemoryConfig, SystemConfig
 from repro.costmodel.model import Objective
 from repro.errors import TransientFaultError
 from repro.experiments.parallel import parallel_map
-from repro.experiments.runner import RunSettings, measure_policy
+from repro.experiments.runner import RunSettings
 from repro.experiments.stats import PointEstimate, summarize
 from repro.faults.recovery import RecoveryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.obs.telemetry import TelemetryConfig
 from repro.optimizer.random_plans import PlanShape
-from repro.optimizer.two_phase import RandomizedOptimizer
+from repro.optimizer.two_phase import optimize
 from repro.optimizer.two_step import TwoStepOptimizer
+from repro.plans.operators import DisplayOp
 from repro.plans.policies import Policy, allowed_annotations
 from repro.sql.scenario import sql_scenario
 from repro.workload import AdmissionConfig, StreamConfig, WorkloadRunner
@@ -146,86 +148,126 @@ def table2(config: SystemConfig | None = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Sweep-point tasks
+# The sweep driver
 # ----------------------------------------------------------------------
-# Scenario factories and sweep points are frozen dataclasses rather than
-# closures so a sweep can be pickled out to worker processes (``jobs > 1``);
-# each point is fully self-describing, which is also what makes parallel
-# output byte-identical to serial.
-@dataclass(frozen=True)
-class _TwoWayFactory:
-    """Scenario factory for the 2-way-join experiments (Figures 2-5)."""
-
-    cache_fraction: float
-    allocation: BufferAllocation
-    server_load: float = 0.0
-
-    def __call__(self, seed: int) -> Scenario:
-        return chain_scenario(
-            num_relations=2,
-            num_servers=1,
-            allocation=self.allocation,
-            cached_fraction=self.cache_fraction,
-            placement_seed=seed,
-            server_load=self.server_load,
-        )
+# An experiment is a list of sweep points.  A point is a
+# ``functools.partial`` of a module-level function ``f(seed, **params)``
+# that runs one seed and returns that run's ``(series label, x, value)``
+# samples.  Partials of module-level functions pickle, so points fan out
+# to worker processes (``jobs > 1``) as they are; each point derives all
+# of its randomness from its own parameters and seed, which is what makes
+# parallel output byte-identical to serial.
+Sample = tuple[str, float, float]
+Point = typing.Callable[[int], list[Sample]]
 
 
-@dataclass(frozen=True)
-class _TenWayFactory:
-    """Scenario factory for the 10-way-join experiments (Figures 6-11)."""
-
-    num_servers: int
-    cached_relations: int = 0
-    allocation: BufferAllocation = BufferAllocation.MINIMUM
-    selectivity: "str | float" = "moderate"
-
-    def __call__(self, seed: int) -> Scenario:
-        return chain_scenario(
-            num_relations=10,
-            num_servers=self.num_servers,
-            allocation=self.allocation,
-            cached_relations=self.cached_relations if self.cached_relations else None,
-            placement_seed=seed,
-            selectivity=self.selectivity,
-        )
+def _run_point(point: Point, seeds: tuple[int, ...]) -> list[Sample]:
+    return [sample for seed in seeds for sample in point(seed)]
 
 
-@dataclass(frozen=True)
-class _MeasureTask:
-    """One (x, policy) point of a measure_policy-based figure."""
-
-    factory: typing.Callable[[int], Scenario]
-    policy: Policy
-    objective: Objective
-    settings: RunSettings
-    label: str
-    x: float
-    metric: str  # "response_time" or "pages_sent"
-
-
-def _run_measure_task(task: _MeasureTask) -> tuple[str, float, PointEstimate]:
-    measurement = measure_policy(task.factory, task.policy, task.objective, task.settings)
-    return task.label, task.x, getattr(measurement, task.metric)
-
-
-def _add_measured(
-    result: FigureResult, tasks: list[_MeasureTask], jobs: int
+def _sweep(
+    result: FigureResult,
+    points: list[Point],
+    seeds: tuple[int, ...],
+    jobs: int = 1,
 ) -> FigureResult:
-    for label, x, estimate in parallel_map(_run_measure_task, tasks, jobs):
-        result.add(label, x, estimate)
+    """Run every point over ``seeds`` and add one estimate per (label, x).
+
+    Points run in list order and each point's seeds in ``seeds`` order.
+    Samples are grouped by (label, x) in first-seen order, which fixes
+    both the series order and the x order within each series.
+    """
+    grouped: dict[tuple[str, float], list[float]] = {}
+    for samples in parallel_map(functools.partial(_run_point, seeds=seeds), points, jobs):
+        for label, x, value in samples:
+            grouped.setdefault((label, x), []).append(value)
+    for (label, x), values in grouped.items():
+        result.add(label, x, summarize(values))
     return result
+
+
+def _best_plan(
+    scenario: Scenario,
+    policy: Policy,
+    objective: Objective,
+    settings: RunSettings,
+    seed: int,
+) -> DisplayOp:
+    """The plan 2PO picks for ``scenario`` under its true state."""
+    return optimize(
+        scenario.query,
+        scenario.environment(),
+        policy,
+        objective,
+        settings.optimizer,
+        seed,
+        plan_cache=settings.plan_cache,
+    ).plan
+
+
+def _measure_point(
+    seed: int,
+    *,
+    scenario: typing.Callable[..., Scenario],
+    policy: Policy,
+    objective: Objective,
+    settings: RunSettings,
+    x: float,
+    series: tuple[tuple[str, str], ...],
+) -> list[Sample]:
+    """Optimize under the scenario's true state and simulate one seed.
+
+    ``series`` pairs each output label with the ``ExecutionResult``
+    attribute it reports (``"response_time"`` or ``"pages_sent"``).
+    """
+    built = scenario(placement_seed=seed)
+    plan = _best_plan(built, policy, objective, settings, seed)
+    run = built.execute(plan, seed=seed)
+    return [(label, x, float(getattr(run, metric))) for label, metric in series]
+
+
+def _policy_sweep(
+    result: FigureResult,
+    grid: list[tuple[float, typing.Callable[..., Scenario]]],
+    objective: Objective,
+    metric: str,
+    settings: RunSettings,
+    jobs: int,
+) -> FigureResult:
+    """One ``metric`` series per policy over ``(x, scenario factory)`` points."""
+    points = [
+        functools.partial(
+            _measure_point,
+            scenario=scenario,
+            policy=policy,
+            objective=objective,
+            settings=settings,
+            x=x,
+            series=((policy.short_name, metric),),
+        )
+        for x, scenario in grid
+        for policy in POLICIES
+    ]
+    return _sweep(result, points, settings.seeds, jobs)
 
 
 # ----------------------------------------------------------------------
 # 2-way join experiments (Figures 2-5)
 # ----------------------------------------------------------------------
-def _two_way_factory(
+def _two_way(
     cache_fraction: float,
-    allocation: BufferAllocation,
+    allocation: BufferAllocation = BufferAllocation.MINIMUM,
     server_load: float = 0.0,
-) -> typing.Callable[[int], Scenario]:
-    return _TwoWayFactory(cache_fraction, allocation, server_load)
+) -> typing.Callable[..., Scenario]:
+    """Scenario factory for the 1-server 2-way join (Figures 2-5 and most sweeps)."""
+    return functools.partial(
+        chain_scenario,
+        num_relations=2,
+        num_servers=1,
+        allocation=allocation,
+        cached_fraction=cache_fraction,
+        server_load=server_load,
+    )
 
 
 def figure2(
@@ -246,20 +288,8 @@ def figure2(
         "cached portion of relations [%]",
         "pages sent",
     )
-    tasks = [
-        _MeasureTask(
-            _two_way_factory(fraction, BufferAllocation.MINIMUM),
-            policy,
-            Objective.PAGES_SENT,
-            settings,
-            policy.short_name,
-            fraction * 100.0,
-            "pages_sent",
-        )
-        for fraction in cache_fractions
-        for policy in POLICIES
-    ]
-    return _add_measured(result, tasks, jobs)
+    grid = [(fraction * 100.0, _two_way(fraction)) for fraction in cache_fractions]
+    return _policy_sweep(result, grid, Objective.PAGES_SENT, "pages_sent", settings, jobs)
 
 
 def figure3(
@@ -281,20 +311,8 @@ def figure3(
         "cached portion of relations [%]",
         "response time [s]",
     )
-    tasks = [
-        _MeasureTask(
-            _two_way_factory(fraction, BufferAllocation.MINIMUM),
-            policy,
-            Objective.RESPONSE_TIME,
-            settings,
-            policy.short_name,
-            fraction * 100.0,
-            "response_time",
-        )
-        for fraction in cache_fractions
-        for policy in POLICIES
-    ]
-    return _add_measured(result, tasks, jobs)
+    grid = [(fraction * 100.0, _two_way(fraction)) for fraction in cache_fractions]
+    return _policy_sweep(result, grid, Objective.RESPONSE_TIME, "response_time", settings, jobs)
 
 
 def figure4(
@@ -317,20 +335,20 @@ def figure4(
         "cached portion of relations [%]",
         "response time [s]",
     )
-    tasks = [
-        _MeasureTask(
-            _two_way_factory(fraction, BufferAllocation.MINIMUM, server_load=load),
-            Policy.DATA_SHIPPING,
-            Objective.RESPONSE_TIME,
-            settings,
-            f"{load:.0f} req/sec",
-            fraction * 100.0,
-            "response_time",
+    points = [
+        functools.partial(
+            _measure_point,
+            scenario=_two_way(fraction, server_load=load),
+            policy=Policy.DATA_SHIPPING,
+            objective=Objective.RESPONSE_TIME,
+            settings=settings,
+            x=fraction * 100.0,
+            series=((f"{load:.0f} req/sec", "response_time"),),
         )
         for load in loads
         for fraction in cache_fractions
     ]
-    return _add_measured(result, tasks, jobs)
+    return _sweep(result, points, settings.seeds, jobs)
 
 
 def qs_under_load_text(
@@ -350,19 +368,19 @@ def qs_under_load_text(
         "external load [req/sec]",
         "response time [s]",
     )
-    tasks = [
-        _MeasureTask(
-            _two_way_factory(0.0, BufferAllocation.MINIMUM, server_load=load),
-            Policy.QUERY_SHIPPING,
-            Objective.RESPONSE_TIME,
-            settings,
-            "QS",
-            load,
-            "response_time",
+    points = [
+        functools.partial(
+            _measure_point,
+            scenario=_two_way(0.0, server_load=load),
+            policy=Policy.QUERY_SHIPPING,
+            objective=Objective.RESPONSE_TIME,
+            settings=settings,
+            x=load,
+            series=(("QS", "response_time"),),
         )
         for load in loads
     ]
-    return _add_measured(result, tasks, jobs)
+    return _sweep(result, points, settings.seeds, jobs)
 
 
 def figure5(
@@ -386,32 +404,30 @@ def figure5(
         "cached portion of relations [%]",
         "response time [s]",
     )
-    tasks = [
-        _MeasureTask(
-            _two_way_factory(fraction, BufferAllocation.MAXIMUM),
-            policy,
-            Objective.RESPONSE_TIME,
-            settings,
-            policy.short_name,
-            fraction * 100.0,
-            "response_time",
-        )
+    grid = [
+        (fraction * 100.0, _two_way(fraction, BufferAllocation.MAXIMUM))
         for fraction in cache_fractions
-        for policy in POLICIES
     ]
-    return _add_measured(result, tasks, jobs)
+    return _policy_sweep(result, grid, Objective.RESPONSE_TIME, "response_time", settings, jobs)
 
 
 # ----------------------------------------------------------------------
 # 10-way join experiments (Figures 6-8)
 # ----------------------------------------------------------------------
-def _ten_way_factory(
+def _ten_way(
     num_servers: int,
-    cached_relations: int = 0,
-    allocation: BufferAllocation = BufferAllocation.MINIMUM,
+    cached_relations: int | None = None,
     selectivity: "str | float" = "moderate",
-) -> typing.Callable[[int], Scenario]:
-    return _TenWayFactory(num_servers, cached_relations, allocation, selectivity)
+) -> typing.Callable[..., Scenario]:
+    """Scenario factory for the 10-way-join experiments (Figures 6-11)."""
+    return functools.partial(
+        chain_scenario,
+        num_relations=10,
+        num_servers=num_servers,
+        allocation=BufferAllocation.MINIMUM,
+        cached_relations=cached_relations,
+        selectivity=selectivity,
+    )
 
 
 def figure6(
@@ -432,20 +448,8 @@ def figure6(
         "number of servers",
         "pages sent",
     )
-    tasks = [
-        _MeasureTask(
-            _ten_way_factory(count),
-            policy,
-            Objective.PAGES_SENT,
-            settings,
-            policy.short_name,
-            count,
-            "pages_sent",
-        )
-        for count in server_counts
-        for policy in POLICIES
-    ]
-    return _add_measured(result, tasks, jobs)
+    grid = [(count, _ten_way(count)) for count in server_counts]
+    return _policy_sweep(result, grid, Objective.PAGES_SENT, "pages_sent", settings, jobs)
 
 
 def figure7(
@@ -467,20 +471,8 @@ def figure7(
         "number of servers",
         "pages sent",
     )
-    tasks = [
-        _MeasureTask(
-            _ten_way_factory(count, cached_relations=5),
-            policy,
-            Objective.PAGES_SENT,
-            settings,
-            policy.short_name,
-            count,
-            "pages_sent",
-        )
-        for count in server_counts
-        for policy in POLICIES
-    ]
-    return _add_measured(result, tasks, jobs)
+    grid = [(count, _ten_way(count, cached_relations=5)) for count in server_counts]
+    return _policy_sweep(result, grid, Objective.PAGES_SENT, "pages_sent", settings, jobs)
 
 
 def figure8(
@@ -502,65 +494,42 @@ def figure8(
         "number of servers",
         "response time [s]",
     )
-    tasks = [
-        _MeasureTask(
-            _ten_way_factory(count),
-            policy,
-            Objective.RESPONSE_TIME,
-            settings,
-            policy.short_name,
-            count,
-            "response_time",
-        )
-        for count in server_counts
-        for policy in POLICIES
-    ]
-    return _add_measured(result, tasks, jobs)
+    grid = [(count, _ten_way(count)) for count in server_counts]
+    return _policy_sweep(result, grid, Objective.RESPONSE_TIME, "response_time", settings, jobs)
 
 
 # ----------------------------------------------------------------------
 # Multi-client throughput sweep (not in the paper)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _ThroughputTask:
-    """One (client count, policy) point of the throughput sweep."""
-
-    policy: Policy
-    count: int
-    cached_fraction: float
-    stream: StreamConfig
-    admission: AdmissionConfig
-    settings: RunSettings
-
-
-def _run_throughput_task(
-    task: _ThroughputTask,
-) -> tuple[PointEstimate, PointEstimate]:
-    throughputs: list[float] = []
-    p95s: list[float] = []
-    for seed in task.settings.seeds:
-        scenario = chain_scenario(
-            num_relations=2,
-            num_servers=1,
-            cached_fraction=task.cached_fraction,
-            placement_seed=seed,
-        )
-        run = WorkloadRunner(
-            scenario,
-            task.policy,
-            num_clients=task.count,
-            stream=task.stream,
-            admission=task.admission,
-            seed=seed,
-            optimizer_config=task.settings.optimizer,
-            plan_cache=task.settings.plan_cache,
-            # Pinned to the paper's static-prefix model: this sweep's
-            # published shape assumes the cached fraction stays fixed.
-            cache="static",
-        ).run()
-        throughputs.append(run.throughput)
-        p95s.append(run.p95_response_time)
-    return summarize(throughputs), summarize(p95s)
+def _throughput_point(
+    seed: int,
+    *,
+    policy: Policy,
+    count: int,
+    cached_fraction: float,
+    stream: StreamConfig,
+    admission: AdmissionConfig,
+    settings: RunSettings,
+) -> list[Sample]:
+    scenario = _two_way(cached_fraction)(placement_seed=seed)
+    run = WorkloadRunner(
+        scenario,
+        policy,
+        num_clients=count,
+        stream=stream,
+        admission=admission,
+        seed=seed,
+        optimizer_config=settings.optimizer,
+        plan_cache=settings.plan_cache,
+        # Pinned to the paper's static-prefix model: this sweep's
+        # published shape assumes the cached fraction stays fixed.
+        cache="static",
+    ).run()
+    label = policy.short_name
+    return [
+        (label, count, run.throughput),
+        (f"{label} p95 [s]", count, run.p95_response_time),
+    ]
 
 
 def throughput_sweep(
@@ -583,6 +552,9 @@ def throughput_sweep(
     """
     settings = settings or RunSettings()
     admission = AdmissionConfig(max_concurrent=4, queue_limit=64)
+    stream = StreamConfig(
+        arrival="closed", think_time=0.0, queries_per_client=queries_per_client
+    )
     result = FigureResult(
         "throughput-sweep",
         "Throughput vs Concurrent Clients, 2-Way Join, 1 Server, 75% Cached",
@@ -593,18 +565,42 @@ def throughput_sweep(
             "the response-time tail of the same runs"
         ),
     )
-    stream = StreamConfig(
-        arrival="closed", think_time=0.0, queries_per_client=queries_per_client
-    )
-    tasks = [
-        _ThroughputTask(policy, count, cached_fraction, stream, admission, settings)
+    points = [
+        functools.partial(
+            _throughput_point,
+            policy=policy,
+            count=count,
+            cached_fraction=cached_fraction,
+            stream=stream,
+            admission=admission,
+            settings=settings,
+        )
         for count in client_counts
         for policy in POLICIES
     ]
-    for task, (throughput, p95) in zip(tasks, parallel_map(_run_throughput_task, tasks, jobs)):
-        result.add(task.policy.short_name, task.count, throughput)
-        result.add(f"{task.policy.short_name} p95 [s]", task.count, p95)
-    return result
+    return _sweep(result, points, settings.seeds, jobs)
+
+
+def _utilization_point(
+    seed: int,
+    *,
+    policy: Policy,
+    cached_fraction: float,
+    telemetry: TelemetryConfig,
+    settings: RunSettings,
+) -> list[Sample]:
+    scenario = _two_way(cached_fraction)(placement_seed=seed)
+    plan = _best_plan(scenario, policy, Objective.RESPONSE_TIME, settings, seed)
+    execution = scenario.execute(plan, seed=seed, telemetry=telemetry)
+    assert execution.telemetry is not None
+    return [
+        (f"{policy.short_name} {curve}", time, value)
+        for channel, curve in (
+            ("site.client.disk0.utilization", "client disk"),
+            ("site.server1.disk0.utilization", "server disk"),
+        )
+        for time, value in execution.telemetry[channel]
+    ]
 
 
 def utilization_timeline(
@@ -642,105 +638,75 @@ def utilization_timeline(
         ),
     )
     telemetry = TelemetryConfig(interval=interval)
-    for policy in POLICIES:
-        scenario = chain_scenario(
-            num_relations=2,
-            num_servers=1,
-            cached_fraction=cached_fraction,
-            placement_seed=seed,
-        )
-        plan = RandomizedOptimizer(
-            scenario.query,
-            scenario.environment(),
+    points = [
+        functools.partial(
+            _utilization_point,
             policy=policy,
-            objective=Objective.RESPONSE_TIME,
-            config=settings.optimizer,
-            seed=seed,
-            plan_cache=settings.plan_cache,
-        ).optimize().plan
-        execution = scenario.execute(plan, seed=seed, telemetry=telemetry)
-        assert execution.telemetry is not None
-        for channel, curve in (
-            ("site.client.disk0.utilization", "client disk"),
-            ("site.server1.disk0.utilization", "server disk"),
-        ):
-            for time, value in execution.telemetry[channel]:
-                result.add(f"{policy.short_name} {curve}", time, summarize([value]))
-    return result
+            cached_fraction=cached_fraction,
+            telemetry=telemetry,
+            settings=settings,
+        )
+        for policy in POLICIES
+    ]
+    return _sweep(result, points, (seed,), jobs)
 
 
 # ----------------------------------------------------------------------
 # Read/write mix and cache consistency (not in the paper)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _WriteMixTask:
-    """One (consistency protocol, write fraction) point of the sweep."""
-
-    protocol: str
-    write_fraction: float
-    num_clients: int
-    queries_per_client: int
-    replication_factor: int
-    cached_fraction: float
-    settings: RunSettings
-
-
-def _run_write_mix_task(
-    task: _WriteMixTask,
-) -> tuple[PointEstimate, PointEstimate, PointEstimate, PointEstimate]:
-    throughputs: list[float] = []
-    p95s: list[float] = []
-    stale_hits: list[float] = []
-    protocol_work: list[float] = []
-    for seed in task.settings.seeds:
-        scenario = chain_scenario(
-            num_relations=2,
-            num_servers=2,
-            cached_fraction=task.cached_fraction,
-            placement_seed=seed,
-            replication_factor=task.replication_factor,
-        )
-        run = WorkloadRunner(
-            scenario,
-            # Data shipping: client scans actually consult the client
-            # caches, which is the path the consistency protocols guard.
-            Policy.DATA_SHIPPING,
-            num_clients=task.num_clients,
-            stream=StreamConfig(
-                arrival="closed",
-                think_time=0.0,
-                queries_per_client=task.queries_per_client,
-                write_fraction=task.write_fraction,
-            ),
-            seed=seed,
-            optimizer_config=task.settings.optimizer,
-            plan_cache=task.settings.plan_cache,
-            # Dynamic client caches: the part of the system the consistency
-            # protocol exists to keep correct.
-            cache="dynamic",
-            consistency=task.protocol,
-        ).run()
-        profile = run.profile
-        throughputs.append(run.throughput)
-        p95s.append(run.p95_response_time)
-        stale_hits.append(
-            sum(v for k, v in profile.items() if k.endswith("consistency.stale_hits"))
-        )
-        # Protocol overhead: callbacks broadcast (invalidation) plus server
-        # round trips on cache hits (detection).
-        protocol_work.append(
-            sum(
-                v
-                for k, v in profile.items()
-                if k.endswith(("consistency.invalidations", "consistency.validations"))
-            )
-        )
-    return (
-        summarize(throughputs),
-        summarize(p95s),
-        summarize(stale_hits),
-        summarize(protocol_work),
+def _write_mix_point(
+    seed: int,
+    *,
+    protocol: str,
+    write_fraction: float,
+    num_clients: int,
+    queries_per_client: int,
+    replication_factor: int,
+    cached_fraction: float,
+    settings: RunSettings,
+) -> list[Sample]:
+    scenario = chain_scenario(
+        num_relations=2,
+        num_servers=2,
+        cached_fraction=cached_fraction,
+        placement_seed=seed,
+        replication_factor=replication_factor,
     )
+    run = WorkloadRunner(
+        scenario,
+        # Data shipping: client scans actually consult the client
+        # caches, which is the path the consistency protocols guard.
+        Policy.DATA_SHIPPING,
+        num_clients=num_clients,
+        stream=StreamConfig(
+            arrival="closed",
+            think_time=0.0,
+            queries_per_client=queries_per_client,
+            write_fraction=write_fraction,
+        ),
+        seed=seed,
+        optimizer_config=settings.optimizer,
+        plan_cache=settings.plan_cache,
+        # Dynamic client caches: the part of the system the consistency
+        # protocol exists to keep correct.
+        cache="dynamic",
+        consistency=protocol,
+    ).run()
+    profile = run.profile
+    stale_hits = sum(v for k, v in profile.items() if k.endswith("consistency.stale_hits"))
+    # Protocol overhead: callbacks broadcast (invalidation) plus server
+    # round trips on cache hits (detection).
+    protocol_work = sum(
+        v
+        for k, v in profile.items()
+        if k.endswith(("consistency.invalidations", "consistency.validations"))
+    )
+    return [
+        (protocol, write_fraction, run.throughput),
+        (f"{protocol} p95 [s]", write_fraction, run.p95_response_time),
+        (f"{protocol} stale hits", write_fraction, stale_hits),
+        (f"{protocol} msgs", write_fraction, protocol_work),
+    ]
 
 
 def write_mix(
@@ -780,41 +746,26 @@ def write_mix(
             "messages (callbacks + validations) of the same runs"
         ),
     )
-    tasks = [
-        _WriteMixTask(
-            protocol,
-            fraction,
-            num_clients,
-            queries_per_client,
-            replication_factor,
-            cached_fraction,
-            settings,
+    points = [
+        functools.partial(
+            _write_mix_point,
+            protocol=protocol,
+            write_fraction=fraction,
+            num_clients=num_clients,
+            queries_per_client=queries_per_client,
+            replication_factor=replication_factor,
+            cached_fraction=cached_fraction,
+            settings=settings,
         )
         for fraction in write_fractions
         for protocol in protocols
     ]
-    outcomes = parallel_map(_run_write_mix_task, tasks, jobs)
-    for task, (throughput, p95, stale, msgs) in zip(tasks, outcomes):
-        result.add(task.protocol, task.write_fraction, throughput)
-        result.add(f"{task.protocol} p95 [s]", task.write_fraction, p95)
-        result.add(f"{task.protocol} stale hits", task.write_fraction, stale)
-        result.add(f"{task.protocol} msgs", task.write_fraction, msgs)
-    return result
+    return _sweep(result, points, settings.seeds, jobs)
 
 
 # ----------------------------------------------------------------------
 # Function shipping: where should a user-defined predicate run?
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _SqlFactory:
-    """Scenario factory for SQL-frontend sweeps (picklable for ``jobs``)."""
-
-    sql: str
-
-    def __call__(self, seed: int) -> Scenario:
-        return sql_scenario(self.sql, placement_seed=seed)
-
-
 _FUNCTION_SHIPPING_SQL = "SELECT * FROM R0 WHERE f(R0) COST {cost:g}{at}"
 _FUNCTION_SHIPPING_ARMS = (
     ("client-eval", " AT CLIENT"),
@@ -852,82 +803,72 @@ def function_shipping(
             "shipped-page counts of the same runs"
         ),
     )
-    tasks = [
-        _MeasureTask(
-            factory=_SqlFactory(_FUNCTION_SHIPPING_SQL.format(cost=cost, at=at)),
+    points = [
+        functools.partial(
+            _measure_point,
+            scenario=functools.partial(
+                sql_scenario, _FUNCTION_SHIPPING_SQL.format(cost=cost, at=at)
+            ),
             policy=Policy.QUERY_SHIPPING,
             objective=Objective.RESPONSE_TIME,
             settings=settings,
-            label=label if metric == "response_time" else f"pages {label}",
             x=cost,
-            metric=metric,
+            series=((label, "response_time"), (f"pages {label}", "pages_sent")),
         )
         for label, at in _FUNCTION_SHIPPING_ARMS
         for cost in udf_costs
-        for metric in ("response_time", "pages_sent")
     ]
-    return _add_measured(result, tasks, jobs)
+    return _sweep(result, points, settings.seeds, jobs)
 
 
 # ----------------------------------------------------------------------
 # Memory contention: static vs dynamic join memory (not in the paper)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _MemoryContentionTask:
-    """One (memory mode, client count) point of the contention sweep."""
-
-    mode: str
-    count: int
-    server_memory_pages: int
-    queries_per_client: int
-    stream: StreamConfig
-    settings: RunSettings
-
-
-def _run_memory_contention_task(
-    task: _MemoryContentionTask,
-) -> tuple[PointEstimate, PointEstimate, PointEstimate, PointEstimate]:
-    throughputs: list[float] = []
-    p95s: list[float] = []
-    sheds: list[float] = []
-    spills: list[float] = []
-    for seed in task.settings.seeds:
-        base = SystemConfig(
-            server_memory_pages=task.server_memory_pages,
-            memory=MemoryConfig(mode=task.mode),
-        )
-        scenario = chain_scenario(
-            num_relations=2,
-            num_servers=1,
-            allocation=BufferAllocation.MAXIMUM,
-            placement_seed=seed,
-            config=base,
-        )
-        run = WorkloadRunner(
-            scenario,
-            Policy.QUERY_SHIPPING,
-            num_clients=task.count,
-            stream=task.stream,
-            seed=seed,
-            optimizer_config=task.settings.optimizer,
-            plan_cache=task.settings.plan_cache,
-            # Single attempts: a memory-shed query fails fast and is
-            # reported as shed, rather than retrying against the same
-            # exhausted pool -- exactly the static-allocation failure the
-            # dynamic broker is meant to remove.
-            recovery=RecoveryPolicy.none(),
-            cache="static",
-        ).run()
-        throughputs.append(run.throughput)
-        p95s.append(run.p95_response_time)
-        sheds.append(float(run.shed + run.failed))
-        spills.append(run.profile.get("site.server1.memory.spill_pages", 0.0))
-    return (
-        summarize(throughputs),
-        summarize(p95s),
-        summarize(sheds),
-        summarize(spills),
+def _memory_contention_point(
+    seed: int,
+    *,
+    mode: str,
+    count: int,
+    server_memory_pages: int,
+    stream: StreamConfig,
+    settings: RunSettings,
+) -> list[Sample]:
+    base = SystemConfig(
+        server_memory_pages=server_memory_pages,
+        memory=MemoryConfig(mode=mode),
     )
+    scenario = chain_scenario(
+        num_relations=2,
+        num_servers=1,
+        allocation=BufferAllocation.MAXIMUM,
+        placement_seed=seed,
+        config=base,
+    )
+    run = WorkloadRunner(
+        scenario,
+        Policy.QUERY_SHIPPING,
+        num_clients=count,
+        stream=stream,
+        seed=seed,
+        optimizer_config=settings.optimizer,
+        plan_cache=settings.plan_cache,
+        # Single attempts: a memory-shed query fails fast and is
+        # reported as shed, rather than retrying against the same
+        # exhausted pool -- exactly the static-allocation failure the
+        # dynamic broker is meant to remove.
+        recovery=RecoveryPolicy.none(),
+        cache="static",
+    ).run()
+    return [
+        (mode, count, run.throughput),
+        (f"{mode} p95 [s]", count, run.p95_response_time),
+        (f"{mode} shed", count, float(run.shed + run.failed)),
+        (
+            f"{mode} spill pages",
+            count,
+            run.profile.get("site.server1.memory.spill_pages", 0.0),
+        ),
+    ]
 
 
 def memory_contention(
@@ -951,6 +892,9 @@ def memory_contention(
     for bounded spill I/O and memory-wait time visible in its p95.
     """
     settings = settings or RunSettings()
+    stream = StreamConfig(
+        arrival="closed", think_time=0.25, queries_per_client=queries_per_client
+    )
     result = FigureResult(
         "memory-contention",
         "Throughput vs Clients at Fixed Server Memory, Static vs Dynamic Allocation",
@@ -963,70 +907,56 @@ def memory_contention(
             "spill I/O of the same runs"
         ),
     )
-    stream = StreamConfig(
-        arrival="closed", think_time=0.25, queries_per_client=queries_per_client
-    )
-    tasks = [
-        _MemoryContentionTask(
-            mode, count, server_memory_pages, queries_per_client, stream, settings
+    points = [
+        functools.partial(
+            _memory_contention_point,
+            mode=mode,
+            count=count,
+            server_memory_pages=server_memory_pages,
+            stream=stream,
+            settings=settings,
         )
         for count in client_counts
         for mode in ("static", "dynamic")
     ]
-    outcomes = parallel_map(_run_memory_contention_task, tasks, jobs)
-    for task, (throughput, p95, shed, spill) in zip(tasks, outcomes):
-        result.add(task.mode, task.count, throughput)
-        result.add(f"{task.mode} p95 [s]", task.count, p95)
-        result.add(f"{task.mode} shed", task.count, shed)
-        result.add(f"{task.mode} spill pages", task.count, spill)
-    return result
+    return _sweep(result, points, settings.seeds, jobs)
 
 
 # ----------------------------------------------------------------------
 # Dynamic cache warm-up (not in the paper)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _CacheWarmupTask:
-    """One shipping policy's warm-up curve over a closed query stream."""
-
-    policy: Policy
-    queries_per_client: int
-    cached_fraction: float
-    replacement: str
-    settings: RunSettings
-
-
-def _run_cache_warmup_task(
-    task: _CacheWarmupTask,
-) -> tuple[list[PointEstimate], list[PointEstimate]]:
-    pages: list[list[float]] = [[] for _ in range(task.queries_per_client)]
-    times: list[list[float]] = [[] for _ in range(task.queries_per_client)]
-    for seed in task.settings.seeds:
-        scenario = chain_scenario(
-            num_relations=2,
-            num_servers=1,
-            cached_fraction=task.cached_fraction,
-            placement_seed=seed,
-        )
-        run = WorkloadRunner(
-            scenario,
-            task.policy,
-            num_clients=1,
-            stream=StreamConfig(
-                arrival="closed",
-                think_time=0.0,
-                queries_per_client=task.queries_per_client,
-            ),
-            seed=seed,
-            optimizer_config=task.settings.optimizer,
-            cache=CacheConfig(mode="dynamic", policy=task.replacement),
-        ).run()
-        # One closed zero-think client: sessions complete in submission
-        # order and pages_sent is exact (no overlapping sessions).
-        for position, session in enumerate(run.sessions):
-            pages[position].append(float(session.pages_sent))
-            times[position].append(session.response_time)
-    return [summarize(p) for p in pages], [summarize(t) for t in times]
+def _cache_warmup_point(
+    seed: int,
+    *,
+    policy: Policy,
+    queries_per_client: int,
+    cached_fraction: float,
+    replacement: str,
+    settings: RunSettings,
+) -> list[Sample]:
+    scenario = _two_way(cached_fraction)(placement_seed=seed)
+    run = WorkloadRunner(
+        scenario,
+        policy,
+        num_clients=1,
+        stream=StreamConfig(
+            arrival="closed",
+            think_time=0.0,
+            queries_per_client=queries_per_client,
+        ),
+        seed=seed,
+        optimizer_config=settings.optimizer,
+        cache=CacheConfig(mode="dynamic", policy=replacement),
+    ).run()
+    # One closed zero-think client: sessions complete in submission
+    # order and pages_sent is exact (no overlapping sessions).
+    label = policy.short_name
+    positions = list(enumerate(run.sessions, start=1))
+    return [
+        (label, position, float(session.pages_sent)) for position, session in positions
+    ] + [
+        (f"{label} [s]", position, session.response_time) for position, session in positions
+    ]
 
 
 def cache_warmup(
@@ -1063,82 +993,59 @@ def cache_warmup(
             "'<policy> [s]' series carry the response times of the same runs"
         ),
     )
-    tasks = [
-        _CacheWarmupTask(
-            policy, queries_per_client, cached_fraction, replacement, settings
+    points = [
+        functools.partial(
+            _cache_warmup_point,
+            policy=policy,
+            queries_per_client=queries_per_client,
+            cached_fraction=cached_fraction,
+            replacement=replacement,
+            settings=settings,
         )
         for policy in POLICIES
     ]
-    outcomes = parallel_map(_run_cache_warmup_task, tasks, jobs)
-    for task, (pages, times) in zip(tasks, outcomes):
-        label = task.policy.short_name
-        for position, estimate in enumerate(pages, start=1):
-            result.add(label, position, estimate)
-        for position, estimate in enumerate(times, start=1):
-            result.add(f"{label} [s]", position, estimate)
-    return result
+    return _sweep(result, points, settings.seeds, jobs)
 
 
 # ----------------------------------------------------------------------
 # Fault tolerance: availability sweep (not in the paper)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _AvailabilityTask:
-    """One (MTBF, policy) point of the availability sweep."""
-
-    policy: Policy
-    mtbf: float
-    mttr: float
-    horizon: float
-    cached_fraction: float
-    recovery: RecoveryPolicy
-    settings: RunSettings
-
-
-def _run_availability_task(
-    task: _AvailabilityTask,
-) -> tuple[PointEstimate, PointEstimate, PointEstimate]:
-    times: list[float] = []
-    replans: list[float] = []
-    completions: list[float] = []
-    for seed in task.settings.seeds:
-        scenario = chain_scenario(
-            num_relations=2,
-            num_servers=1,
-            cached_fraction=task.cached_fraction,
-            placement_seed=seed,
-        )
-        plan = RandomizedOptimizer(
-            scenario.query,
-            scenario.environment(),
-            policy=task.policy,
-            objective=Objective.RESPONSE_TIME,
-            config=task.settings.optimizer,
+def _availability_point(
+    seed: int,
+    *,
+    policy: Policy,
+    mtbf: float,
+    mttr: float,
+    horizon: float,
+    cached_fraction: float,
+    recovery: RecoveryPolicy,
+    settings: RunSettings,
+) -> list[Sample]:
+    scenario = _two_way(cached_fraction)(placement_seed=seed)
+    plan = _best_plan(scenario, policy, Objective.RESPONSE_TIME, settings, seed)
+    faults = FaultSchedule.periodic_crashes(
+        1, mtbf=mtbf, mttr=mttr, horizon=horizon, seed=seed
+    )
+    try:
+        run = scenario.execute(
+            plan,
             seed=seed,
-            plan_cache=task.settings.plan_cache,
-        ).optimize().plan
-        faults = FaultSchedule.periodic_crashes(
-            1, mtbf=task.mtbf, mttr=task.mttr, horizon=task.horizon, seed=seed
+            faults=faults,
+            recovery=recovery,
+            policy=policy,
+            optimizer_config=settings.optimizer,
+            plan_cache=settings.plan_cache,
         )
-        try:
-            run = scenario.execute(
-                plan,
-                seed=seed,
-                faults=faults,
-                recovery=task.recovery,
-                policy=task.policy,
-                optimizer_config=task.settings.optimizer,
-                plan_cache=task.settings.plan_cache,
-            )
-        except TransientFaultError:
-            times.append(task.horizon)
-            replans.append(0.0)
-            completions.append(0.0)
-        else:
-            times.append(run.response_time)
-            replans.append(float(run.replans))
-            completions.append(100.0)
-    return summarize(times), summarize(replans), summarize(completions)
+    except TransientFaultError:
+        time, replans, completed = horizon, 0.0, 0.0
+    else:
+        time, replans, completed = run.response_time, float(run.replans), 100.0
+    label = policy.short_name
+    return [
+        (label, mtbf, time),
+        (f"{label} replans", mtbf, replans),
+        (f"{label} completed [%]", mtbf, completed),
+    ]
 
 
 def availability_sweep(
@@ -1172,18 +1079,21 @@ def availability_sweep(
             f"{horizon:g}s query timeout and excluded from 'completed [%]'"
         ),
     )
-    tasks = [
-        _AvailabilityTask(policy, mtbf, mttr, horizon, cached_fraction, recovery, settings)
+    points = [
+        functools.partial(
+            _availability_point,
+            policy=policy,
+            mtbf=mtbf,
+            mttr=mttr,
+            horizon=horizon,
+            cached_fraction=cached_fraction,
+            recovery=recovery,
+            settings=settings,
+        )
         for mtbf in mtbf_values
         for policy in POLICIES
     ]
-    outcomes = parallel_map(_run_availability_task, tasks, jobs)
-    for task, (times, replans, completions) in zip(tasks, outcomes):
-        label = task.policy.short_name
-        result.add(label, task.mtbf, times)
-        result.add(f"{label} replans", task.mtbf, replans)
-        result.add(f"{label} completed [%]", task.mtbf, completions)
-    return result
+    return _sweep(result, points, settings.seeds, jobs)
 
 
 # ----------------------------------------------------------------------
@@ -1201,71 +1111,49 @@ def _distributed_catalog(scenario: Scenario) -> Catalog:
     return Catalog(relations, Placement({r.name: i + 1 for i, r in enumerate(relations)}))
 
 
-@dataclass(frozen=True)
-class _TwoStepTask:
-    """One server-count point of a Figure-10/11 style experiment."""
+def _two_step_point(
+    seed: int,
+    *,
+    count: int,
+    selectivity: "str | float",
+    settings: RunSettings,
+) -> list[Sample]:
+    scenario = _ten_way(count, selectivity=selectivity)(placement_seed=seed)
+    true_env = scenario.environment()
+    two_step = TwoStepOptimizer(Objective.RESPONSE_TIME, settings.optimizer)
+    ideal = _best_plan(scenario, Policy.HYBRID_SHIPPING, Objective.RESPONSE_TIME, settings, seed)
+    ideal_time = scenario.execute(ideal, seed=seed).response_time
 
-    count: int
-    selectivity: "str | float"
-    settings: RunSettings
-
-
-def _run_two_step_task(task: _TwoStepTask) -> dict[str, PointEstimate]:
-    settings = task.settings
-    factory = _ten_way_factory(task.count, selectivity=task.selectivity)
-    per_variant: dict[str, list[float]] = {
-        "Deep Static": [],
-        "Deep 2-Step": [],
-        "Bushy Static": [],
-        "Bushy 2-Step": [],
+    deep = two_step.compile(
+        scenario.query,
+        scenario.assumed_environment(_centralized_catalog(scenario)),
+        shape=PlanShape.DEEP,
+        seed=seed,
+    )
+    bushy = two_step.compile(
+        scenario.query,
+        scenario.assumed_environment(
+            _distributed_catalog(scenario),
+            num_servers=len(scenario.query.relations),
+        ),
+        shape=PlanShape.ANY,
+        seed=seed,
+    )
+    plans = {
+        "Deep Static": two_step.static_plan(deep),
+        "Deep 2-Step": two_step.runtime_plan(deep, true_env, seed=seed),
+        "Bushy Static": two_step.static_plan(bushy),
+        "Bushy 2-Step": two_step.runtime_plan(bushy, true_env, seed=seed),
     }
-    for seed in settings.seeds:
-        scenario = factory(seed)
-        true_env = scenario.environment()
-        two_step = TwoStepOptimizer(Objective.RESPONSE_TIME, settings.optimizer)
-        ideal = RandomizedOptimizer(
-            scenario.query,
-            true_env,
-            policy=Policy.HYBRID_SHIPPING,
-            objective=Objective.RESPONSE_TIME,
-            config=settings.optimizer,
-            seed=seed,
-            plan_cache=settings.plan_cache,
-        ).optimize()
-        ideal_time = scenario.execute(ideal.plan, seed=seed).response_time
-
-        deep = two_step.compile(
-            scenario.query,
-            scenario.assumed_environment(_centralized_catalog(scenario)),
-            shape=PlanShape.DEEP,
-            seed=seed,
-        )
-        bushy = two_step.compile(
-            scenario.query,
-            scenario.assumed_environment(
-                _distributed_catalog(scenario),
-                num_servers=len(scenario.query.relations),
-            ),
-            shape=PlanShape.ANY,
-            seed=seed,
-        )
-        plans = {
-            "Deep Static": two_step.static_plan(deep),
-            "Deep 2-Step": two_step.runtime_plan(deep, true_env, seed=seed),
-            "Bushy Static": two_step.static_plan(bushy),
-            "Bushy 2-Step": two_step.runtime_plan(bushy, true_env, seed=seed),
-        }
-        elapsed = {
-            label: scenario.execute(plan, seed=seed).response_time
-            for label, plan in plans.items()
-        }
-        # The randomized "ideal" is only as good as its search budget;
-        # normalize by the best plan actually measured so ratios are a
-        # true "times slower than the best known plan" (>= 1).
-        baseline = min(ideal_time, *elapsed.values())
-        for label, value in elapsed.items():
-            per_variant[label].append(value / baseline)
-    return {label: summarize(ratios) for label, ratios in per_variant.items()}
+    elapsed = {
+        label: scenario.execute(plan, seed=seed).response_time
+        for label, plan in plans.items()
+    }
+    # The randomized "ideal" is only as good as its search budget;
+    # normalize by the best plan actually measured so ratios are a
+    # true "times slower than the best known plan" (>= 1).
+    baseline = min(ideal_time, *elapsed.values())
+    return [(label, count, value / baseline) for label, value in elapsed.items()]
 
 
 def _two_step_figure(
@@ -1287,11 +1175,13 @@ def _two_step_figure(
             "with full knowledge of the runtime state (section 5.2)"
         ),
     )
-    tasks = [_TwoStepTask(count, selectivity, settings) for count in server_counts]
-    for task, estimates in zip(tasks, parallel_map(_run_two_step_task, tasks, jobs)):
-        for label, estimate in estimates.items():
-            result.add(label, task.count, estimate)
-    return result
+    points = [
+        functools.partial(
+            _two_step_point, count=count, selectivity=selectivity, settings=settings
+        )
+        for count in server_counts
+    ]
+    return _sweep(result, points, settings.seeds, jobs)
 
 
 def figure10(
@@ -1342,50 +1232,31 @@ def figure11(
 # ----------------------------------------------------------------------
 # Section 5 text: 2-step optimization exploits run-time caching
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _TwoStepCachingTask:
-    """One cache-fraction point of the 2-step caching experiment."""
-
-    fraction: float
-    settings: RunSettings
-
-
-def _run_two_step_caching_task(task: _TwoStepCachingTask) -> dict[str, PointEstimate]:
-    settings = task.settings
-    per_variant: dict[str, list[float]] = {"Static": [], "2-Step": [], "Ideal": []}
-    for seed in settings.seeds:
-        runtime_scenario = chain_scenario(
-            num_relations=4,
-            num_servers=2,
-            cached_fraction=task.fraction,
-            placement_seed=seed,
-        )
-        compile_catalog = runtime_scenario.catalog.with_cache({})
-        compile_env = runtime_scenario.assumed_environment(compile_catalog)
-        true_env = runtime_scenario.environment()
-        two_step = TwoStepOptimizer(Objective.PAGES_SENT, settings.optimizer)
-        compiled = two_step.compile(runtime_scenario.query, compile_env, seed=seed)
-        static_plan = two_step.static_plan(compiled)
-        runtime_plan = two_step.runtime_plan(compiled, true_env, seed=seed)
-        ideal = RandomizedOptimizer(
-            runtime_scenario.query,
-            true_env,
-            policy=Policy.HYBRID_SHIPPING,
-            objective=Objective.PAGES_SENT,
-            config=settings.optimizer,
-            seed=seed,
-            plan_cache=settings.plan_cache,
-        ).optimize()
-        per_variant["Static"].append(
-            float(runtime_scenario.execute(static_plan, seed=seed).pages_sent)
-        )
-        per_variant["2-Step"].append(
-            float(runtime_scenario.execute(runtime_plan, seed=seed).pages_sent)
-        )
-        per_variant["Ideal"].append(
-            float(runtime_scenario.execute(ideal.plan, seed=seed).pages_sent)
-        )
-    return {label: summarize(pages) for label, pages in per_variant.items()}
+def _two_step_caching_point(
+    seed: int, *, fraction: float, settings: RunSettings
+) -> list[Sample]:
+    runtime_scenario = chain_scenario(
+        num_relations=4,
+        num_servers=2,
+        cached_fraction=fraction,
+        placement_seed=seed,
+    )
+    compile_catalog = runtime_scenario.catalog.with_cache({})
+    compile_env = runtime_scenario.assumed_environment(compile_catalog)
+    true_env = runtime_scenario.environment()
+    two_step = TwoStepOptimizer(Objective.PAGES_SENT, settings.optimizer)
+    compiled = two_step.compile(runtime_scenario.query, compile_env, seed=seed)
+    plans = {
+        "Static": two_step.static_plan(compiled),
+        "2-Step": two_step.runtime_plan(compiled, true_env, seed=seed),
+        "Ideal": _best_plan(
+            runtime_scenario, Policy.HYBRID_SHIPPING, Objective.PAGES_SENT, settings, seed
+        ),
+    }
+    return [
+        (label, fraction * 100.0, float(runtime_scenario.execute(plan, seed=seed).pages_sent))
+        for label, plan in plans.items()
+    ]
 
 
 def two_step_caching(
@@ -1410,9 +1281,8 @@ def two_step_caching(
         "pages sent",
         notes="4-way join, 2 servers; compile time assumed an empty cache",
     )
-    tasks = [_TwoStepCachingTask(fraction, settings) for fraction in cache_fractions]
-    outcomes = parallel_map(_run_two_step_caching_task, tasks, jobs)
-    for task, estimates in zip(tasks, outcomes):
-        for label, estimate in estimates.items():
-            result.add(label, task.fraction * 100.0, estimate)
-    return result
+    points = [
+        functools.partial(_two_step_caching_point, fraction=fraction, settings=settings)
+        for fraction in cache_fractions
+    ]
+    return _sweep(result, points, settings.seeds, jobs)

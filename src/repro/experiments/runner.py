@@ -1,24 +1,13 @@
-"""Measurement loops: optimize + simulate one point, repeatedly, with CIs."""
+"""How thoroughly to run an experiment point: seeds, optimizer preset, plan cache."""
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass, field
 
 from repro.config import OptimizerConfig
-from repro.costmodel.model import Objective
-from repro.engine.executor import ExecutionResult
-from repro.experiments.stats import PointEstimate, summarize
 from repro.optimizer.cache import PlanCache
-from repro.optimizer.two_phase import RandomizedOptimizer
-from repro.plans.operators import DisplayOp
-from repro.plans.policies import Policy
-from repro.workloads.scenarios import Scenario
 
-__all__ = ["RunSettings", "Measurement", "measure_policy", "measure_plan"]
-
-ScenarioFactory = typing.Callable[[int], Scenario]
-PlanFactory = typing.Callable[[Scenario, int], DisplayOp]
+__all__ = ["RunSettings"]
 
 
 @dataclass(frozen=True)
@@ -46,58 +35,3 @@ class RunSettings:
         return RunSettings(
             seeds=self.seeds[:3], optimizer=self.optimizer, plan_cache=self.plan_cache
         )
-
-
-@dataclass
-class Measurement:
-    """Aggregated metrics of one experiment point."""
-
-    response_time: PointEstimate
-    pages_sent: PointEstimate
-    results: list[ExecutionResult]
-
-
-def measure_policy(
-    scenario_factory: ScenarioFactory,
-    policy: Policy,
-    objective: Objective,
-    settings: RunSettings,
-) -> Measurement:
-    """Optimize (under the scenario's true state) and simulate, per seed."""
-    results: list[ExecutionResult] = []
-    for seed in settings.seeds:
-        scenario = scenario_factory(seed)
-        optimizer = RandomizedOptimizer(
-            scenario.query,
-            scenario.environment(),
-            policy=policy,
-            objective=objective,
-            config=settings.optimizer,
-            seed=seed,
-            plan_cache=settings.plan_cache,
-        )
-        plan = optimizer.optimize().plan
-        results.append(scenario.execute(plan, seed=seed))
-    return _aggregate(results)
-
-
-def measure_plan(
-    scenario_factory: ScenarioFactory,
-    plan_factory: PlanFactory,
-    settings: RunSettings,
-) -> Measurement:
-    """Simulate externally produced plans (static / 2-step experiments)."""
-    results: list[ExecutionResult] = []
-    for seed in settings.seeds:
-        scenario = scenario_factory(seed)
-        plan = plan_factory(scenario, seed)
-        results.append(scenario.execute(plan, seed=seed))
-    return _aggregate(results)
-
-
-def _aggregate(results: list[ExecutionResult]) -> Measurement:
-    return Measurement(
-        response_time=summarize([r.response_time for r in results]),
-        pages_sent=summarize([float(r.pages_sent) for r in results]),
-        results=results,
-    )

@@ -47,7 +47,7 @@ def profile_query(
     from repro.api import _parse_policy
     from repro.config import OptimizerConfig as _OptimizerConfig
     from repro.costmodel.model import Objective
-    from repro.optimizer.two_phase import RandomizedOptimizer
+    from repro.optimizer.two_phase import optimize
     from repro.plans.binding import bind_plan
     from repro.workloads.scenarios import chain_scenario
 
@@ -58,14 +58,14 @@ def profile_query(
         cached_fraction=cached_fraction,
         placement_seed=seed,
     )
-    optimization = RandomizedOptimizer(
+    optimization = optimize(
         scenario.query,
         scenario.environment(),
         policy=parsed,
         objective=Objective.RESPONSE_TIME,
         config=optimizer or _OptimizerConfig.fast(),
         seed=seed,
-    ).optimize()
+    )
     report = validate_plan_costs(
         scenario, optimization.plan, policy=parsed.value, seed=seed
     )

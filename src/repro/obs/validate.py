@@ -28,7 +28,7 @@ from repro.config import OptimizerConfig
 from repro.costmodel.model import CostModel, Objective, PlanCost
 from repro.engine.executor import ExecutionResult
 from repro.obs.trace import RESOURCE_CATEGORIES, Tracer
-from repro.optimizer.two_phase import RandomizedOptimizer
+from repro.optimizer.two_phase import optimize
 from repro.plans.policies import Policy
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -133,14 +133,14 @@ def figure2_validation(
     optimizer_config = optimizer or OptimizerConfig.fast()
     reports: list[ValidationReport] = []
     for policy in (Policy.DATA_SHIPPING, Policy.QUERY_SHIPPING, Policy.HYBRID_SHIPPING):
-        optimization = RandomizedOptimizer(
+        optimization = optimize(
             scenario.query,
             scenario.environment(),
             policy=policy,
             objective=Objective.RESPONSE_TIME,
             config=optimizer_config,
             seed=seed,
-        ).optimize()
+        )
         reports.append(
             validate_plan_costs(scenario, optimization.plan, policy=policy.value, seed=seed)
         )

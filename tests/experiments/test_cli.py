@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.experiments import cli
 from repro.experiments.cli import main
+from repro.experiments.figures import FigureResult
 
 
 def test_table1(capsys):
@@ -92,3 +94,74 @@ def test_write_mix_with_tiny_sweep(capsys):
     assert "write-mix" in out
     assert "invalidation" in out
     assert "detection" in out
+
+
+def test_two_step_caching_is_registered(capsys):
+    code = main(["two-step-caching", "--seeds", "3", "--cache", "0", "1.0"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "two-step-caching" in out
+    assert "2-Step" in out
+    rows = [line.split()[0] for line in out.splitlines()[4:6]]
+    assert rows == ["0", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv, rejected, accepted",
+    [
+        (["fig2", "--servers", "3"], "--servers", "--cache"),
+        (["fault-sweep", "--clients", "4"], "--clients", "--mtbf"),
+        (["table1", "--cache", "0.5"], "--cache", "no sweep flags"),
+    ],
+)
+def test_flag_the_experiment_does_not_take_is_rejected(capsys, argv, rejected, accepted):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"does not take {rejected}" in err
+    assert accepted in err
+
+
+def test_all_applies_each_flag_where_it_is_accepted(monkeypatch, capsys):
+    calls = {}
+
+    def recorder(name):
+        def run(**kwargs):
+            calls[name] = kwargs
+            return FigureResult(name, name, "x", "y")
+
+        return run
+
+    monkeypatch.setattr(
+        cli,
+        "_EXPERIMENTS",
+        {
+            name: experiment._replace(function=recorder(name))
+            for name, experiment in cli._EXPERIMENTS.items()
+        },
+    )
+    assert main(["all", "--seeds", "3", "--servers", "2", "--clients", "4", "6"]) == 0
+    assert set(calls) == set(cli._EXPERIMENTS)
+    assert calls["fig6"]["server_counts"] == (2,)
+    assert calls["fig10"]["server_counts"] == (2,)
+    assert "server_counts" not in calls["fig2"]
+    assert calls["throughput-sweep"]["client_counts"] == (4, 6)
+    assert calls["write-mix"]["num_clients"] == 4
+    assert "client_counts" not in calls["fault-sweep"]
+
+
+def test_quick_grid_applies_unless_a_flag_overrides_it(monkeypatch, capsys):
+    calls = {}
+
+    def run(**kwargs):
+        calls.update(kwargs)
+        return FigureResult("fake", "fake", "x", "y")
+
+    experiment = cli._EXPERIMENTS["write-mix"]._replace(function=run)
+    monkeypatch.setitem(cli._EXPERIMENTS, "write-mix", experiment)
+    assert main(["write-mix", "--quick", "--clients", "5"]) == 0
+    assert calls["num_clients"] == 5
+    assert calls["write_fractions"] == (0.0, 0.5)
+    assert calls["queries_per_client"] == 2
+    assert calls["settings"].seeds == (3, 7, 11)

@@ -6,11 +6,15 @@ qualitative claim the paper makes there.  The benchmark suite covers the
 full sweeps; these tests guard the conclusions in the regular test run.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import BufferAllocation, OptimizerConfig
 from repro.costmodel import Objective
-from repro.experiments.runner import RunSettings, measure_policy
+from repro.experiments.runner import RunSettings
+from repro.experiments.stats import summarize
+from repro.optimizer import optimize
 from repro.plans import Policy
 from repro.workloads import chain_scenario
 
@@ -45,7 +49,23 @@ def ten_way(servers, cached_relations=0):
 
 
 def run(factory, policy, objective):
-    return measure_policy(factory, policy, objective, SETTINGS)
+    """Optimize under the true state and simulate, per seed; summarize both metrics."""
+    results = []
+    for seed in SETTINGS.seeds:
+        scenario = factory(seed)
+        plan = optimize(
+            scenario.query,
+            scenario.environment(),
+            policy=policy,
+            objective=objective,
+            config=SETTINGS.optimizer,
+            seed=seed,
+        ).plan
+        results.append(scenario.execute(plan, seed=seed))
+    return SimpleNamespace(
+        response_time=summarize([r.response_time for r in results]),
+        pages_sent=summarize([float(r.pages_sent) for r in results]),
+    )
 
 
 class TestSection421CommunicationVolume:
