@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import typing
+from array import array
 from dataclasses import dataclass
 
 from repro.caching.policies import make_policy
@@ -73,7 +74,7 @@ class CacheState:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-#: A page's key inside a cache is ``relation ordinal << 32 | page index``.
+#: A page's packed key is ``relation ordinal << 32 | page index``.
 _INDEX_BITS = 32
 _INDEX_MASK = (1 << _INDEX_BITS) - 1
 
@@ -90,13 +91,15 @@ class BufferCache:
     A cache built with ``admits=False`` (the static model) never admits:
     it serves its seeded prefixes and only shrinks, by invalidation.
 
-    Internally a resident page costs one hash entry: the policy's recency
-    map holds ``key -> arena slot``, with the int key
-    ``ordinal << 32 | page index`` and the relation's ordinal taken from a
-    per-cache name table that only ``seed`` and ``admit`` extend.  Version
-    stamps are stored only when non-zero, and per-relation resident counts
-    are kept up to date so snapshots cost O(relations).  Page indices must
-    lie in ``[0, 2**32)``.
+    Internally a resident page is a few array entries, not a Python object.
+    The cache owns page <-> slot: each relation ordinal (from a per-cache
+    name table that only ``seed`` and ``admit`` extend) has an
+    ``array("i")`` mapping page index to arena slot + 1 (0: not resident),
+    grown to the largest index stored, and one ``array("q")`` maps each
+    slot back to its packed key ``ordinal << 32 | page index``.  The
+    replacement policy orders slots only.  Version stamps are stored only
+    when non-zero, and per-relation resident counts are kept up to date so
+    snapshots cost O(relations).  Page indices must lie in ``[0, 2**32)``.
     """
 
     def __init__(
@@ -113,15 +116,17 @@ class BufferCache:
         self.admits = admits
         self._policy = make_policy(policy)
         self._extent = allocator.allocate(capacity_pages)
-        # Resident key -> arena slot: the policy's own recency map.  Slots
-        # are handed out in ascending order; freed slots are reused LIFO
-        # (deterministic).
-        self._slots = self._policy.slots
-        # Relation name <-> ordinal, and resident pages per ordinal.
+        # Relation name <-> ordinal; per ordinal, resident pages and the
+        # page index -> slot + 1 table.
         self._ordinals: dict[str, int] = {}
         self._names: list[str] = []
         self._resident: list[int] = []
-        # Resident key -> page version stamp, for stamps != 0 only.
+        self._tables: list[array] = []
+        # Arena slot -> packed key of the page it holds.  Slots are handed
+        # out in ascending order; freed slots are reused LIFO
+        # (deterministic).
+        self._keys = array("q")
+        # Packed key -> page version stamp, for stamps != 0 only.
         # Version 0 is "as loaded"; writers bump the global version table
         # and the consistency protocol compares against this.
         self._versions: dict[int, int] = {}
@@ -146,21 +151,25 @@ class BufferCache:
             self._ordinals[relation] = ordinal
             self._names.append(relation)
             self._resident.append(0)
+            self._tables.append(array("i"))
         return ordinal
 
-    def _key(self, relation: str, page_index: int) -> int | None:
-        """Key of a page of a known relation; None (no entry) otherwise."""
+    def _held(self, relation: str, page_index: int) -> int:
+        """Arena slot + 1 holding a page; 0 when it is not resident."""
         ordinal = self._ordinals.get(relation)
         if ordinal is None:
-            return None
-        return ordinal << _INDEX_BITS | page_index
+            return 0
+        table = self._tables[ordinal]
+        if 0 <= page_index < len(table):
+            return table[page_index]
+        return 0
 
     # ------------------------------------------------------------------
     # Residency
     # ------------------------------------------------------------------
     @property
     def resident_count(self) -> int:
-        return len(self._slots)
+        return len(self._policy)
 
     def resident_pages(self, relation: str) -> int:
         """Resident pages of one relation (any pages, not just a prefix)."""
@@ -169,18 +178,17 @@ class BufferCache:
 
     def contains(self, relation: str, page_index: int) -> bool:
         """Residency check without touching counters or the policy."""
-        return self._key(relation, page_index) in self._slots
+        return self._held(relation, page_index) != 0
 
     def lookup(self, relation: str, page_index: int) -> int | None:
         """Absolute client-disk page holding ``page_index``, or None (miss)."""
-        key = self._key(relation, page_index)
-        slot = self._slots.get(key)
-        if slot is None:
+        held = self._held(relation, page_index)
+        if not held:
             self.misses += 1
             return None
         self.hits += 1
-        self._policy.touch(key)
-        return self._extent.page(slot)
+        self._policy.touch(held - 1)
+        return self._extent.page(held - 1)
 
     # ------------------------------------------------------------------
     # Admission / eviction
@@ -192,19 +200,31 @@ class BufferCache:
             slot = self._next_slot
             self._next_slot += 1
             return slot
-        victim, slot = self._policy.evict()
-        ordinal = victim >> _INDEX_BITS
+        slot = self._policy.evict()
+        victim = self._keys[slot]
+        ordinal, index = victim >> _INDEX_BITS, victim & _INDEX_MASK
+        self._tables[ordinal][index] = 0
         self._resident[ordinal] -= 1
         self.evictions += 1
-        self.eviction_history.record(self._names[ordinal], victim & _INDEX_MASK)
+        self.eviction_history.record(self._names[ordinal], index)
         self._versions.pop(victim, None)
         return slot
 
-    def _place(self, key: int) -> int:
-        """Give a non-resident key a slot (evicting if full)."""
+    def _place(self, ordinal: int, page_index: int) -> int:
+        """Give a non-resident page a slot (evicting if full)."""
         slot = self._take_slot()
-        self._policy.admit(key, slot)
-        self._resident[key >> _INDEX_BITS] += 1
+        self._policy.admit(slot)
+        table = self._tables[ordinal]
+        missing = page_index + 1 - len(table)
+        if missing > 0:
+            table.frombytes(bytes(missing * table.itemsize))
+        table[page_index] = slot + 1
+        key = ordinal << _INDEX_BITS | page_index
+        if slot == len(self._keys):
+            self._keys.append(key)
+        else:
+            self._keys[slot] = key
+        self._resident[ordinal] += 1
         return slot
 
     def admit(self, relation: str, page_index: int, version: int = 0) -> int | None:
@@ -219,13 +239,16 @@ class BufferCache:
             return None
         if not 0 <= page_index <= _INDEX_MASK:
             raise ConfigurationError(f"page index {page_index} outside [0, 2**32)")
-        key = self._ordinal(relation) << _INDEX_BITS | page_index
-        slot = self._slots.get(key)
-        if slot is not None:
-            self._policy.touch(key)
+        ordinal = self._ordinal(relation)
+        table = self._tables[ordinal]
+        held = table[page_index] if page_index < len(table) else 0
+        if held:
+            slot = held - 1
+            self._policy.touch(slot)
         else:
-            slot = self._place(key)
+            slot = self._place(ordinal, page_index)
             self.admissions += 1
+        key = ordinal << _INDEX_BITS | page_index
         if version:
             self._versions[key] = version
         else:
@@ -234,10 +257,10 @@ class BufferCache:
 
     def version_of(self, relation: str, page_index: int) -> int | None:
         """Version stamp of a resident page, or None if not resident."""
-        key = self._key(relation, page_index)
-        if key not in self._slots:
+        held = self._held(relation, page_index)
+        if not held:
             return None
-        return self._versions.get(key, 0)
+        return self._versions.get(self._keys[held - 1], 0)
 
     def invalidate(self, relation: str, page_index: int) -> bool:
         """Drop a (possibly stale) page from the cache; True if it was resident.
@@ -247,14 +270,16 @@ class BufferCache:
         separately, bypasses the policy's victim choice, and never appears
         in ``eviction_history``.
         """
-        key = self._key(relation, page_index)
-        if key is None:
+        held = self._held(relation, page_index)
+        if not held:
             return False
-        slot = self._policy.discard(key)
-        if slot is None:
-            return False
+        slot = held - 1
+        self._policy.discard(slot)
+        key = self._keys[slot]
+        ordinal = key >> _INDEX_BITS
+        self._tables[ordinal][page_index] = 0
         self._versions.pop(key, None)
-        self._resident[key >> _INDEX_BITS] -= 1
+        self._resident[ordinal] -= 1
         self._free.append(slot)
         self.invalidations += 1
         return True
@@ -267,15 +292,16 @@ class BufferCache:
         """
         if pages > _INDEX_MASK + 1:
             raise ConfigurationError(f"cannot seed {pages} pages: indices stop at 2**32")
-        base = self._ordinal(relation) << _INDEX_BITS
+        ordinal = self._ordinal(relation)
+        table = self._tables[ordinal]
+        policy = self._policy
         placed = 0
         for index in range(pages):
-            if len(self._slots) >= self.capacity_pages:
+            if len(policy) >= self.capacity_pages:
                 break
-            key = base | index
-            if key in self._slots:
+            if index < len(table) and table[index]:
                 continue
-            self._place(key)
+            self._place(ordinal, index)
             placed += 1
         self.seeded += placed
         return placed
@@ -303,6 +329,6 @@ class BufferCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<BufferCache {self.policy_name} resident={len(self._slots)}"
+            f"<BufferCache {self.policy_name} resident={len(self._policy)}"
             f"/{self.capacity_pages} hits={self.hits} misses={self.misses}>"
         )

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 import typing
-from collections import OrderedDict
 
 from repro.config import DiskParams
 from repro.sim import Environment, Event, RequestPool, UtilizationMonitor
@@ -75,8 +74,9 @@ class Disk:
         self._cylinder = 0
         self._direction = 1  # elevator direction: +1 up, -1 down
         self._last_page: int | None = None  # last physical page under the head
-        # Controller cache: page -> True, LRU order.
-        self._cache: OrderedDict[int, bool] = OrderedDict()
+        # Controller cache: page -> True in LRU order (a plain dict keeps
+        # insertion order; a hit re-inserts the page at the young end).
+        self._cache: dict[int, bool] = {}
         # Fault state (driven by the fault injector; healthy by default).
         self.slow_factor = 1.0
         self._off = False
@@ -318,9 +318,11 @@ class Disk:
         page = request.page
         if request.kind == "read":
             self.reads += 1
-            if page in self._cache:
+            cache = self._cache
+            if page in cache:
                 self.cache_hits += 1
-                self._cache.move_to_end(page)
+                del cache[page]
+                cache[page] = True
                 return p.cache_hit_time
         else:
             self.writes += 1
@@ -374,11 +376,11 @@ class Disk:
     def _cache_insert(self, page: int) -> None:
         # Every call site has already established that ``page`` is absent
         # (read miss, write-through pop, or the prefetch membership check),
-        # so a plain insert lands it in LRU position without move_to_end.
+        # so a plain insert lands it at the young end of the LRU order.
         cache = self._cache
         cache[page] = True
         if len(cache) > self.params.controller_cache_pages:
-            cache.popitem(last=False)
+            del cache[next(iter(cache))]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Disk {self.name!r} cyl={self._cylinder} queued={self.queue_length}>"

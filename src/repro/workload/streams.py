@@ -11,9 +11,11 @@ Two classic arrival disciplines:
   repeat.  Closed streams measure self-regulated throughput; with zero
   think time one client reproduces back-to-back single-query execution.
 
-Every stream owns a :class:`random.Random` seeded from the workload seed
-and its client ordinal, so per-client arrival sequences are deterministic
-and independent of how many other clients run beside them.
+Every stream that draws arrival or think times owns a
+:class:`random.Random` seeded from the workload seed and its client
+ordinal, so per-client arrival sequences are deterministic and independent
+of how many other clients run beside them.  A closed stream with zero
+think time never draws, so it creates none.
 """
 
 from __future__ import annotations
@@ -103,7 +105,11 @@ class ClientStream:
         self.config = config
         self.launch = launch
         self.launch_write = launch_write
-        self.rng = random.Random(f"{seed}:client{ordinal}:stream")
+        # Like the writer RNG below, created only for a stream that draws
+        # from it: Poisson arrivals or exponential think pauses.
+        self.rng: random.Random | None = None
+        if config.arrival == "open" or config.think_time > 0.0:
+            self.rng = random.Random(f"{seed}:client{ordinal}:stream")
         # Created only for a genuine read/write mix, so pure-read streams
         # never consume entropy that did not exist before the write axis.
         self._writer_rng: random.Random | None = None

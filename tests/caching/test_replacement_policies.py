@@ -1,4 +1,4 @@
-"""Replacement policies: behaviour and byte-identical determinism."""
+"""Replacement policies over arena slots: behaviour and determinism."""
 
 import random
 
@@ -14,24 +14,20 @@ from repro.caching.policies import (
 from repro.errors import ConfigurationError
 
 
-def key(i):
-    return ("R", i)
-
-
 class TestLRU:
     def test_evicts_least_recently_used(self):
         policy = LRUPolicy()
         for i in range(3):
-            policy.admit(key(i), i)
-        assert policy.evict() == (key(0), 0)
-        assert policy.evict() == (key(1), 1)
+            policy.admit(i)
+        assert policy.evict() == 0
+        assert policy.evict() == 1
 
     def test_touch_refreshes_recency(self):
         policy = LRUPolicy()
         for i in range(3):
-            policy.admit(key(i), i)
-        policy.touch(key(0))
-        assert policy.evict() == (key(1), 1)
+            policy.admit(i)
+        policy.touch(0)
+        assert policy.evict() == 1
 
     def test_evict_empty_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -42,33 +38,33 @@ class TestMRU:
     def test_evicts_most_recently_used(self):
         policy = MRUPolicy()
         for i in range(3):
-            policy.admit(key(i), i)
-        assert policy.evict() == (key(2), 2)
+            policy.admit(i)
+        assert policy.evict() == 2
 
     def test_touch_marks_the_victim(self):
         policy = MRUPolicy()
         for i in range(3):
-            policy.admit(key(i), i)
-        policy.touch(key(0))
-        assert policy.evict() == (key(0), 0)
+            policy.admit(i)
+        policy.touch(0)
+        assert policy.evict() == 0
 
 
 class TestClock:
     def test_second_chance_spares_referenced_keys(self):
         policy = ClockPolicy()
         for i in range(3):
-            policy.admit(key(i), i)
+            policy.admit(i)
         # All reference bits are set: the first sweep clears 0..2, wraps,
-        # and evicts key 0 -- FIFO when nothing was touched since admission.
-        assert policy.evict() == (key(0), 0)
+        # and evicts slot 0 -- FIFO when nothing was touched since admission.
+        assert policy.evict() == 0
 
     def test_touched_key_survives_a_sweep(self):
         policy = ClockPolicy()
         for i in range(3):
-            policy.admit(key(i), i)
-        policy.evict()  # clears every bit, evicts key 0
-        policy.touch(key(1))
-        assert policy.evict() == (key(2), 2)
+            policy.admit(i)
+        policy.evict()  # clears every bit, evicts slot 0
+        policy.touch(1)
+        assert policy.evict() == 2
 
     def test_evict_empty_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -77,22 +73,22 @@ class TestClock:
     def test_discard_behind_the_hand_keeps_its_position(self):
         policy = ClockPolicy()
         for i in range(4):
-            policy.admit(key(i), i)
-        assert policy.evict() == (key(0), 0)  # the sweep clears every bit
-        policy.admit(key(4), 0)
-        policy.admit(key(5), 4)
-        # Ring: 4 5 1 2 3, hand on key 1 (bit clear).  Dropping key 4,
-        # behind the hand, must leave the hand on key 1.
-        assert policy.discard(key(4)) == 0
-        assert policy.evict() == (key(1), 1)
+            policy.admit(i)
+        assert policy.evict() == 0  # the sweep clears every bit
+        policy.admit(0)  # the freed slot, reused
+        policy.admit(4)
+        # Ring: 0 4 1 2 3, hand on slot 1 (bit clear).  Dropping slot 0,
+        # behind the hand, must leave the hand on slot 1.
+        assert policy.discard(0) is True
+        assert policy.evict() == 1
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_discard_returns_the_slot_once(name):
     policy = make_policy(name)
-    policy.admit(key(0), 7)
-    assert policy.discard(key(0)) == 7
-    assert policy.discard(key(0)) is None
+    policy.admit(7)
+    assert policy.discard(7) is True
+    assert policy.discard(7) is False
     assert len(policy) == 0
 
 
@@ -113,21 +109,24 @@ def test_eviction_sequence_is_deterministic(name):
     def run():
         policy = make_policy(name)
         rng = random.Random(17)
-        resident = set()
+        slots = {}  # resident key -> slot; the policy sees slots only
+        keys = {}
         victims = []
         for _ in range(400):
-            k = key(rng.randrange(40))
-            if k in resident:
-                policy.touch(k)
+            k = rng.randrange(40)
+            if k in slots:
+                policy.touch(slots[k])
             else:
-                slot = len(resident)
-                if len(resident) >= 16:
-                    victim, slot = policy.evict()
-                    resident.discard(victim)
+                slot = len(slots)
+                if len(slots) >= 16:
+                    slot = policy.evict()
+                    victim = keys.pop(slot)
+                    del slots[victim]
                     victims.append(victim)
-                policy.admit(k, slot)
-                resident.add(k)
-            assert len(policy) == len(resident)
+                policy.admit(slot)
+                slots[k] = slot
+                keys[slot] = k
+            assert len(policy) == len(slots)
         return victims
 
     first, second = run(), run()

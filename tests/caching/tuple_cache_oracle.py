@@ -1,6 +1,6 @@
 """Reference model of the client buffer cache: tuple keys, dense stamps.
 
-This is the straightforward formulation the int-keyed
+This is the straightforward formulation the slot-array
 :class:`repro.caching.BufferCache` must agree with, kept here as a test
 oracle (not imported by ``src/``).  Pages are keyed by
 ``(relation, page index)`` tuples; three maps hold every resident page --

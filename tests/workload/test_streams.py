@@ -1,5 +1,7 @@
 """Client stream tests, driven with stub sessions of known durations."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -120,3 +122,41 @@ class TestDeterminism:
 
     def test_seed_changes_arrivals(self):
         assert self.arrivals(None, 0, seed=9) != self.arrivals(None, 0, seed=10)
+
+
+class TestArrivalRng:
+    """The arrival RNG exists only where the stream draws from it."""
+
+    def run(self, config, ordinal=2, seed=9):
+        from repro.sim import Environment
+
+        env = Environment()
+        log = []
+        stream = ClientStream(env, ordinal, config, seed=seed, launch=make_launch(env, log))
+        env.run(until=env.process(stream.run()))
+        return stream, [t for kind, _, _, t in log if kind == "start"]
+
+    def test_closed_zero_think_stream_has_no_rng(self):
+        stream, starts = self.run(StreamConfig(arrival="closed", queries_per_client=3))
+        assert stream.rng is None
+        assert starts == [0.0, 2.0, 4.0]
+
+    def test_open_stream_draws_from_the_client_seed(self):
+        reference = random.Random("9:client2:stream")
+        expected, now = [], 0.0
+        for _ in range(4):
+            now += reference.expovariate(1.5)
+            expected.append(now)
+        _, starts = self.run(StreamConfig(arrival="open", rate=1.5, queries_per_client=4))
+        assert starts == expected
+
+    def test_thinking_stream_draws_from_the_client_seed(self):
+        reference = random.Random("9:client2:stream")
+        expected, now = [0.0], 0.0
+        for _ in range(3):
+            now += 2.0  # the stub session's service time
+            now += reference.expovariate(1.0 / 5.0)
+            expected.append(now)
+        config = StreamConfig(arrival="closed", think_time=5.0, queries_per_client=4)
+        _, starts = self.run(config)
+        assert starts == expected
