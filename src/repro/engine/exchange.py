@@ -90,16 +90,13 @@ class ExchangeReceiver(PhysicalOp):
                 return
             tracer = self.context.env.tracer
             if tracer is None:
-                # Flat transfer (see Network.send_flat): the shipping loop
-                # moves every exchanged page, so the per-page frame savings
-                # compound across the whole pipeline.
-                yield from network.send_flat(self.producer_site, self.site, page_size, 1)
+                yield from network.send(self.producer_site, self.site, page_size, 1)
             else:
                 # Attribute the endpoint CPU and wire time of the transfer
                 # to this exchange's own label (xfer:<producer label>).
                 span = tracer.begin(f"{self.label}.ship", cat="op", op=self.label)
                 try:
-                    yield from network.send_page(self.producer_site, self.site)
+                    yield from network.send(self.producer_site, self.site, page_size, 1)
                 finally:
                     tracer.end(span)
             yield self.channel.put(page)

@@ -144,15 +144,15 @@ class ScanIterator(PhysicalOp):
                 args={"relation": self.relation, "page": index},
             )
         try:
-            # Direct flat sends (rather than the send_request/send_page
+            # Direct sends (rather than the send_request/send_page
             # wrappers): page faults dominate data-shipping runs, and the
             # wrapper frame is pure overhead on this path.
             config = self.config
-            yield from network.send_flat(self.site, server, config.request_message_bytes)
+            yield from network.send(self.site, server, config.request_message_bytes)
             yield from server.cpu.execute(config.disk_inst)
             disk = server.disks[self._home_disk_index]
             yield disk.read(self._home_extent.page(index))
-            yield from network.send_flat(server, self.site, config.page_size, 1)
+            yield from network.send(server, self.site, config.page_size, 1)
         finally:
             if tracer is not None:
                 tracer.end(span)

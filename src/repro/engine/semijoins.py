@@ -56,7 +56,7 @@ class SemiJoinIterator(PhysicalOp):
         if source is not self.site:
             network = self.context.network
             for _ in range(self.digest_pages):
-                yield from network.send_flat(source, self.site, config.page_size, 1)
+                yield from network.send(source, self.site, config.page_size, 1)
         # ...and hash it into the local lookup table.
         yield from self.site.cpu.execute(config.hash_inst * self.digest_tuples)
         yield from self.child.open()

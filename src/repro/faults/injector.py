@@ -37,7 +37,6 @@ class FaultInjector:
         self.env = env
         self.topology = topology
         self.schedule = schedule
-        env.fault_aware = True
         self.faults_injected = Counter("faults_injected")
         if schedule.message_drop_probability:
             topology.network.configure_drops(

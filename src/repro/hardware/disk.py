@@ -81,7 +81,6 @@ class Disk:
         self.slow_factor = 1.0
         self._off = False
         self._offline_error: typing.Callable[[], Exception] | None = None
-        self._current: DiskRequest | None = None
         # Statistics.
         self.reads = 0
         self.writes = 0
@@ -90,9 +89,9 @@ class Disk:
         self.random_ios = 0
         self.faulted_requests = 0
         self.monitor = UtilizationMonitor(env, name=name)
-        # End of the last *collapsed* service window (see _serve_loop): the
-        # loop may have already completed a request analytically out to this
-        # time; a newly arriving request must not start service before it.
+        # End of the last booked service window (see _serve_loop): the loop
+        # has already completed a request analytically out to this time; a
+        # newly arriving request must not start service before it.
         self._virtual_busy_until = 0.0
         self._virtual_request: DiskRequest | None = None
         self._server = env.process(self._serve_loop(), name=f"{name}.server")
@@ -132,25 +131,16 @@ class Disk:
         if self._off:
             return
         self._off = True
-        # Faults are now in play: the serve loop stops collapsing service
-        # windows so power state is honoured at every event boundary.
-        self.env.fault_aware = True
         self._offline_error = error_factory
         # Queued but unserved requests fail immediately.
         for request in self._pool.clear():
             self.faulted_requests += 1
             request.done.fail(self._make_offline_error())
-        # The request being serviced loses its result: fail its completion
-        # now; the serve loop notices the event already fired and moves on.
-        current = self._current
-        if current is not None and not current.done.triggered:
-            self.faulted_requests += 1
-            current.done.fail(self._make_offline_error())
-        # A request completed analytically by the fast path has its success
-        # sitting in the heap at the window's end; revoke it by rewriting
-        # the event to a failure and scheduling it now -- callbacks run on
-        # the first (failing) pass, so the later heap entry is a no-op and
-        # the waiter observes the crash at power-off time, as modelled.
+        # The request in service has its success sitting in the heap at
+        # its window's end; revoke it by rewriting the event to a failure
+        # and scheduling it now -- callbacks run on the first (failing)
+        # pass, so the later heap entry is a no-op and the waiter observes
+        # the crash at power-off time, as modelled.
         virtual = self._virtual_request
         if (
             virtual is not None
@@ -216,12 +206,21 @@ class Disk:
     # Scheduling and service
     # ------------------------------------------------------------------
     def _serve_loop(self) -> typing.Generator:
+        """Serve requests in elevator order, one booked window each.
+
+        A request's service time is computed when it is chosen (head,
+        cache and statistics advance then), its busy window is accounted
+        at once (:meth:`UtilizationMonitor.accrue`), and its completion is
+        scheduled at the window's end -- one scheduler pass per request.
+        Nothing else can serve this disk before the window ends: the loop
+        sleeps it out before choosing among everything queued by then.
+        """
         env = self.env
         pool = self._pool
         while True:
             if not pool.items or self._virtual_busy_until <= env._now:
-                # With requests already queued *and* a virtual window still
-                # playing out, the wait below would be a zero-sleep followed
+                # With requests already queued *and* a window still playing
+                # out, the wait below would be a zero-sleep followed
                 # immediately by the window sleep -- two scheduler passes
                 # where one suffices -- so that case skips straight to the
                 # window sleep.  The zero-sleep is kept when the window has
@@ -230,56 +229,29 @@ class Disk:
                 yield pool.wait_for_item()
             busy_until = self._virtual_busy_until
             if busy_until > env._now:
-                # The previous request was completed analytically; its
-                # service window is still "on the platter".  Sleep it out so
-                # the next request starts (and the elevator chooses among
-                # everything queued by then) exactly when the un-collapsed
-                # loop would have finished its timeout.
-                yield busy_until - env._now
+                yield env.sleep_until(busy_until)
                 if not pool.items:
-                    # A power-off cleared the queue while the virtual window
-                    # played out; go back to waiting.
+                    # A power-off cleared the queue while the window played
+                    # out; go back to waiting.
                     continue
-            if env.fastpath and env.tracer is None and not env.fault_aware and not self._off:
-                # Collapsed service: compute the duration now (head, cache,
-                # and stats state advance identically), book the busy window
-                # analytically, and schedule the completion directly -- one
-                # scheduler pass instead of three.  Exact because nothing
-                # can serve this disk before the window ends (arrivals park
-                # on the virtual window above) and monitors report
-                # mid-window reads via UtilizationMonitor.accrue semantics.
-                request = pool.take(self._elevator_choose)
-                duration = self._service(request) * self.slow_factor
-                self._virtual_request = request
-                if duration > 0.0:
-                    self.monitor.accrue(duration)
-                    self._virtual_busy_until = env._now + duration
-                    request.done.succeed(duration, delay=duration)
-                else:
-                    request.done.succeed(duration)
-                continue
             request = pool.take(self._elevator_choose)
-            self._current = request
-            self.monitor.busy()
             duration = self._service(request) * self.slow_factor
-            if duration > 0:
-                tracer = self.env.tracer
-                if tracer is None:
-                    yield float(duration)
-                else:
-                    span = tracer.begin(
+            self._virtual_request = request
+            if duration > 0.0:
+                self.monitor.accrue(duration)
+                end = self._virtual_busy_until = env._now + duration
+                request.done.succeed(duration, delay=duration)
+                tracer = env.tracer
+                if tracer is not None:
+                    tracer.record(
                         self.name,
+                        env._now,
+                        end,
                         cat="disk",
                         op=request.op,
                         args={"kind": request.kind, "page": request.page},
                     )
-                    yield self.env.timeout(duration)
-                    tracer.end(span)
-            self._current = None
-            if not len(self._pool):
-                self.monitor.idle()
-            # A power-off during service already failed the completion event.
-            if not request.done.triggered:
+            else:
                 request.done.succeed(duration)
 
     def _elevator_choose(self, items: list[DiskRequest]) -> DiskRequest:

@@ -89,9 +89,10 @@ class Network:
         """Ship one message from ``source`` to ``destination``.
 
         Charges the sender CPU, holds the wire for the time-on-the-wire, then
-        charges the receiver CPU.  ``data_pages`` is the number of full data
-        pages carried (for the pages-sent metric); pass 0 for control
-        messages.
+        charges the receiver CPU; each hop books a service window on its
+        resource (see :meth:`Resource.serve`).  ``data_pages`` is the number
+        of full data pages carried (for the pages-sent metric); pass 0 for
+        control messages.
 
         Faults: an outage (or a crash of either endpoint) before or during
         the transfer raises the matching :class:`TransientFaultError`; a
@@ -101,21 +102,25 @@ class Network:
         if source is destination:
             # Local hand-off: no message costs at all.
             return
-        self.check_available()
-        source.check_available()
-        destination.check_available()
-        cpu_instr = self.config.message_cpu_instructions(num_bytes)
+        if not (self.up and source.up and destination.up):
+            self._raise_unavailable(source, destination)
+        costs = self._cost_cache.get(num_bytes)
+        if costs is None:
+            costs = (
+                self.config.message_cpu_instructions(num_bytes),
+                self.config.wire_time(num_bytes),
+            )
+            self._cost_cache[num_bytes] = costs
+        cpu_instr, wire_time = costs
         yield from source.cpu.execute(cpu_instr)
         transmissions = 0
         while True:
             transmissions += 1
-            yield from self._wire.serve(
-                self.config.wire_time(num_bytes) * self.degradation_factor
-            )
-            # The wire time has been spent even if the message is lost.
-            self.check_available()
-            source.check_available()
-            destination.check_available()
+            yield from self._wire.serve(wire_time * self.degradation_factor)
+            # The wire time has been spent even if the message is lost, and
+            # an outage or crash that began mid-flight kills the message.
+            if not (self.up and source.up and destination.up):
+                self._raise_unavailable(source, destination)
             if not self._dropped():
                 break
             self.messages_dropped += 1
@@ -131,6 +136,12 @@ class Network:
         else:
             self.control_messages_sent += 1
 
+    def _raise_unavailable(self, source: "Site", destination: "Site") -> None:
+        """Raise the error of the first unavailable party on a path."""
+        self.check_available()
+        source.check_available()
+        destination.check_available()
+
     def _dropped(self) -> bool:
         return (
             self.drop_probability > 0.0
@@ -138,106 +149,13 @@ class Network:
             and self.drop_rng.random() < self.drop_probability
         )
 
-    def send_flat(
-        self,
-        source: "Site",
-        destination: "Site",
-        num_bytes: int,
-        data_pages: int = 0,
-    ) -> typing.Generator:
-        """One-frame equivalent of :meth:`send` -- the batched-transfer path.
-
-        The hot shipping paths (page faults, exchange pipelines,
-        write-through replication) run page streams through here: the
-        sender-CPU / wire / receiver-CPU hops of a message are flattened
-        into a single generator frame, each uncontended hop booked on its
-        resource's virtual clock.  The event sequence, grant instants,
-        counters, and monitor float arithmetic are identical to
-        :meth:`send` (the equivalence tests diff whole figure runs);
-        anything the flat frame cannot reproduce exactly -- fastpath off,
-        tracing, an outage in progress, a lossy link -- delegates.
-        """
-        env = self.env
-        if (
-            not env.fastpath
-            or env.tracer is not None
-            or not self.up
-            or self.drop_probability > 0.0
-        ):
-            yield from self.send(source, destination, num_bytes, data_pages)
-            return
-        if source is destination:
-            return
-        # Availability can only be False once the fault injector has
-        # acted, and the first fault sets env.fault_aware for good --
-        # so the healthy steady state skips all six checks per message.
-        # (Re-read at the post-wire checkpoint: an outage can begin
-        # while this message is mid-flight.)
-        if env.fault_aware:
-            self.check_available()
-            source.check_available()
-            destination.check_available()
-        costs = self._cost_cache.get(num_bytes)
-        if costs is None:
-            costs = (
-                self.config.message_cpu_instructions(num_bytes),
-                self.config.wire_time(num_bytes),
-            )
-            self._cost_cache[num_bytes] = costs
-        cpu_instr, wire_raw = costs
-        if cpu_instr:
-            cpu = source.cpu
-            cpu.instructions_executed += cpu_instr
-            res = cpu._resource
-            if res.capacity == 1 and not res._in_service and not res._queue:
-                # seconds_for() inlined: two endpoint hops per message.
-                end = res._book(cpu_instr / (cpu.mips * 1e6))
-                try:
-                    yield end - env._now
-                finally:
-                    res._settle()
-            else:
-                yield from res.serve(cpu.seconds_for(cpu_instr))
-        wire = self._wire
-        duration = wire_raw * self.degradation_factor
-        if wire.capacity == 1 and not wire._in_service and not wire._queue:
-            end = wire._book(duration)
-            try:
-                yield end - env._now
-            finally:
-                wire._settle()
-        else:
-            yield from wire.serve(duration)
-        if env.fault_aware:
-            self.check_available()
-            source.check_available()
-            destination.check_available()
-        if cpu_instr:
-            cpu = destination.cpu
-            cpu.instructions_executed += cpu_instr
-            res = cpu._resource
-            if res.capacity == 1 and not res._in_service and not res._queue:
-                # seconds_for() inlined: two endpoint hops per message.
-                end = res._book(cpu_instr / (cpu.mips * 1e6))
-                try:
-                    yield end - env._now
-                finally:
-                    res._settle()
-            else:
-                yield from res.serve(cpu.seconds_for(cpu_instr))
-        self.bytes_sent += num_bytes
-        if data_pages:
-            self.data_pages_sent += data_pages
-        else:
-            self.control_messages_sent += 1
-
     def send_page(self, source: "Site", destination: "Site") -> typing.Generator:
         """Ship one full data page."""
-        yield from self.send_flat(source, destination, self.config.page_size, data_pages=1)
+        yield from self.send(source, destination, self.config.page_size, data_pages=1)
 
     def send_request(self, source: "Site", destination: "Site") -> typing.Generator:
         """Ship one small control message (e.g. a page-fault request)."""
-        yield from self.send_flat(source, destination, self.config.request_message_bytes)
+        yield from self.send(source, destination, self.config.request_message_bytes)
 
     def utilization(self) -> float:
         """Busy fraction of the wire since time zero."""

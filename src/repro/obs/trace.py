@@ -197,6 +197,29 @@ class Tracer:
         self.spans.append(span)
         return span
 
+    def record(
+        self,
+        name: str,
+        start: float,
+        end: float,
+        cat: str = "op",
+        op: str | None = None,
+        args: dict | None = None,
+    ) -> Span:
+        """Record an already-closed span ``[start, end]`` on the current track.
+
+        For service booked ahead of time (a resource's service window), so
+        ``end`` may lie in the simulated future.  ``op`` is inherited as in
+        :meth:`begin`.
+        """
+        track = self.current_track()
+        if op is None:
+            op = self.current_op(track)
+        span = Span(name, cat, track, start, op=op, args=args)
+        span.end = end
+        self.spans.append(span)
+        return span
+
     def instant(self, name: str, cat: str = "event", args: dict | None = None) -> Instant:
         """Record a point event on the current track."""
         record = Instant(name, cat, self.current_track(), self._now(), args=args)

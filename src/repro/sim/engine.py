@@ -19,10 +19,19 @@ __all__ = ["Environment", "Process", "SimulationError"]
 
 ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 
-#: Value of :attr:`Environment.fastpath` for every new environment.  The
-#: equivalence property tests patch it to False to obtain their
-#: page-at-a-time reference runs.
-_FASTPATH_DEFAULT = True
+
+class _Parked:
+    """What a process yields after :meth:`Environment.sleep_until` has
+    already put it in the scheduler heap: there is nothing left to wait on.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return "<parked>"
+
+
+_PARKED = _Parked()
 
 
 class _Start:
@@ -115,6 +124,9 @@ class Process(Event):
             seq = env._sequence = env._sequence + 1
             _heappush(env._queue, (env._now + target, seq, self, None))
             return
+        if target is _PARKED:
+            # Already in the heap (see Environment.sleep_until).
+            return
         try:
             processed = target._processed
         except AttributeError:
@@ -147,11 +159,10 @@ class Environment:
         out of :meth:`run` immediately instead of being stored on the process
         event.  This surfaces bugs in simulation code early.
 
-    :attr:`fastpath` (always :data:`_FASTPATH_DEFAULT`) lets hardware
-    components collapse provably-equivalent event chains -- e.g. an
-    uncontended multi-hop page transfer -- into a single timeout.  The
-    collapse conditions guarantee identical timing, counters, and
-    utilization; turning it off only slows the simulator down.
+    The kernel has one scheduling path.  Hardware models book service
+    windows ahead on a virtual clock (see :meth:`Resource.serve` and the
+    disk's service loop), so a caller sleeps through wait plus service in
+    one raw sleep whether or not a tracer or fault injector is attached.
     """
 
     def __init__(self, strict: bool = True) -> None:
@@ -170,12 +181,6 @@ class Environment:
         self._immediate: deque[tuple] = deque()
         self._sequence = 0
         self.strict = strict
-        self.fastpath = _FASTPATH_DEFAULT
-        # Set by the fault injector (or any manual power-off) the moment
-        # faults enter the picture: hardware fast paths that complete work
-        # analytically ahead of time then stand down, so crash/outage
-        # windows observe and fail in-flight work exactly as modelled.
-        self.fault_aware = False
         self._processes: list[weakref.ref[Process]] = []
         self._compact_at = 512
         # Observability hooks: the tracer bound to this environment (None
@@ -240,6 +245,21 @@ class Environment:
     def timeout(self, delay: float, value: typing.Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
+
+    def sleep_until(self, time: float) -> _Parked:
+        """Park the running process until the absolute instant ``time``.
+
+        ``yield env.sleep_until(t)`` is the raw sleep ``yield t - now``
+        except that it wakes at ``t`` exactly: ``now + (t - now)`` can round
+        an ulp away from ``t``, and a booked service window must end where
+        it was booked.  The sequence number is taken at the same point in
+        the run as a raw sleep's, so ordering against siblings is the same.
+        """
+        if not self._now <= time < math.inf:
+            raise SimulationError(f"cannot sleep until {time!r} (now={self._now})")
+        seq = self._sequence = self._sequence + 1
+        _heappush(self._queue, (time, seq, self.active_process, None))
+        return _PARKED
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
@@ -389,6 +409,8 @@ def _describe_wait(event: Event | None) -> str:
         return "nothing (never resumed)"
     if type(event) is float:
         return f"sleep({event:g}s)"
+    if event is _PARKED:
+        return "a booked service window"
     reason = getattr(event, "wait_reason", None)
     if reason is not None:
         return reason

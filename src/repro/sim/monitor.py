@@ -125,12 +125,14 @@ class UtilizationMonitor:
     - at ``env.now == 0`` no time has elapsed, so utilization is defined
       as ``0.0`` (never a division by zero), regardless of busy state.
 
-    Collapsed service (the simulator's fast path) accounts a whole busy
-    window analytically at its *start* via :meth:`accrue`; the unexpired
-    remainder is tracked in ``virtual_until`` and subtracted by
-    :meth:`elapsed_busy_time`, so mid-window reads (e.g. the telemetry
+    Booked service (a resource's or disk's service window) accounts a whole
+    busy window at its *start*: the interval opens then and the window's
+    end is kept in ``virtual_until``, which :meth:`elapsed_busy_time` caps
+    the open interval at, so mid-window reads (e.g. the telemetry
     sampler's utilization gauges) see exactly the value an open
-    ``busy()``..``idle()`` interval would have produced.
+    ``busy()``..``idle()`` interval would have produced.  A device is
+    accounted either by booked windows or by ``busy()``/``idle()``, never
+    both.
     """
 
     __slots__ = ("env", "name", "_busy_since", "busy_time", "virtual_until")
@@ -145,16 +147,16 @@ class UtilizationMonitor:
     def accrue(self, duration: float) -> None:
         """Open (or extend) a busy interval capped at ``now + duration``.
 
-        The fast path books a whole service window at its *start*; the cap
-        records where the window ends so later reads and intervals account
-        it exactly -- bit-identical to a ``busy()``..``idle()`` pair closed
-        at the window's end, including float summation order.  The caller
-        guarantees the device performs no other service before the cap.
+        The cap records where the window ends so later reads and intervals
+        account it exactly -- bit-identical to a ``busy()``..``idle()``
+        pair closed at the window's end, including float summation order.
+        The caller guarantees the device performs no other service before
+        the cap.
         """
         now = self.env._now
         virtual_until = self.virtual_until
         if virtual_until != 0.0 and virtual_until < now:
-            # Inline _expire_cap (accrue runs once per collapsed service).
+            # The previous window ended before now: close its interval.
             if self._busy_since is not None:
                 self.busy_time += virtual_until - self._busy_since
                 self._busy_since = None
@@ -162,42 +164,15 @@ class UtilizationMonitor:
             self._busy_since = now
         self.virtual_until = now + duration
 
-    def _expire_cap(self, now: float) -> None:
-        """Close a capped interval whose window has fully elapsed."""
-        virtual_until = self.virtual_until
-        if virtual_until != 0.0:
-            if virtual_until < now:
-                if self._busy_since is not None:
-                    self.busy_time += virtual_until - self._busy_since
-                    self._busy_since = None
-                self.virtual_until = 0.0
-            elif virtual_until == now:
-                # The window ends exactly now: the interval continues
-                # seamlessly into whatever the caller does next.
-                self.virtual_until = 0.0
-
     def busy(self) -> None:
         """Mark the device busy (idempotent)."""
-        now = self.env._now
-        self._expire_cap(now)
         if self._busy_since is None:
-            self._busy_since = now
+            self._busy_since = self.env._now
 
     def idle(self) -> None:
         """Mark the device idle (idempotent)."""
-        now = self.env._now
-        virtual_until = self.virtual_until
-        if virtual_until != 0.0:
-            # Inline _expire_cap (idle runs once per service epilogue).
-            if virtual_until < now:
-                if self._busy_since is not None:
-                    self.busy_time += virtual_until - self._busy_since
-                    self._busy_since = None
-                self.virtual_until = 0.0
-            elif virtual_until == now:
-                self.virtual_until = 0.0
         if self._busy_since is not None:
-            self.busy_time += now - self._busy_since
+            self.busy_time += self.env._now - self._busy_since
             self._busy_since = None
 
     @property

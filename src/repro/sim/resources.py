@@ -11,6 +11,7 @@ from __future__ import annotations
 import typing
 from collections import deque
 
+from repro.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.monitor import UtilizationMonitor
 
@@ -31,16 +32,25 @@ class Request(Event):
 
 
 class Resource:
-    """A FIFO resource with a fixed number of identical servers.
+    """A FIFO resource: a single booked server plus a pool of raw grants.
 
-    Usage from a process::
+    CPUs and the network wire call :meth:`serve`, which books each hold as
+    a service window on a virtual clock: a window starts when the previous
+    one ends (or now, if the server is idle), so FIFO order and every grant
+    and release instant follow from arithmetic instead of a chain of grant
+    events::
+
+        yield from resource.serve(service_time)
+
+    Admission slots use the raw interface instead, with any ``capacity``::
 
         req = resource.request()
         yield req
-        yield env.timeout(service_time)
+        ...
         resource.release(req)
 
-    or the equivalent one-liner ``yield from resource.serve(service_time)``.
+    One resource uses one interface or the other: booked windows do not
+    see raw grants, and raw grants do not see booked windows.
     """
 
     def __init__(self, env: "Environment", capacity: int = 1, name: str = "") -> None:
@@ -51,13 +61,8 @@ class Resource:
         self.name = name
         self._queue: deque[Request] = deque()
         self._in_service: set[Request] = set()
-        # Virtual clock (capacity-1 fast path): end of the last analytically
-        # booked service window.  serve() books back-to-back windows without
-        # waking between them; a booked window is indistinguishable from a
-        # held server to request()/release(), so raw requesters queue behind
-        # it exactly as they would behind a real grant.
+        # End of the last booked service window (see serve()).
         self._virtual_avail = 0.0
-        self._waker_at = 0.0
         # Monitoring: busy while at least one server is granted.
         self.monitor = UtilizationMonitor(env, name=name)
         self.completed = 0
@@ -78,20 +83,12 @@ class Resource:
     def request(self) -> Request:
         """Ask for a server; the returned event fires when one is granted."""
         req = Request(self.env, self)
-        if (
-            len(self._in_service) < self.capacity
-            and not self._queue
-            and self._virtual_avail <= self.env._now
-        ):
+        if len(self._in_service) < self.capacity and not self._queue:
             self._grant(req)
         else:
             # No wait_reason string here: a Request already knows its
             # resource, and the deadlock dump describes it from that.
             self._queue.append(req)
-            if self._virtual_avail > self.env._now and len(self._in_service) < self.capacity:
-                # Queued behind a booked window, not a held server: nobody
-                # will call release(), so schedule a waker at the window end.
-                self._ensure_waker()
         return req
 
     def release(self, req: Request) -> None:
@@ -103,64 +100,46 @@ class Resource:
             self._queue.remove(req)
         else:
             raise ValueError("release() of a request not held on this resource")
-        now = self.env._now
-        while (
-            self._queue
-            and len(self._in_service) < self.capacity
-            and self._virtual_avail <= now
-        ):
+        while self._queue and len(self._in_service) < self.capacity:
             self._grant(self._queue.popleft())
         if not self._in_service:
             # Inline UtilizationMonitor.idle(): grant/release run once per
             # service burst, and the method call costs more than the update.
-            # A leftover cap from an earlier booked window must close the
-            # interval at the cap, not now, so defer to the full method.
             monitor = self.monitor
-            if monitor.virtual_until != 0.0:
-                monitor.idle()
-            elif monitor._busy_since is not None:
-                monitor.busy_time += now - monitor._busy_since
+            if monitor._busy_since is not None:
+                monitor.busy_time += self.env._now - monitor._busy_since
                 monitor._busy_since = None
 
     def _grant(self, req: Request) -> None:
         if not self._in_service:
             # Inline UtilizationMonitor.busy() (see release()).
             monitor = self.monitor
-            if monitor.virtual_until != 0.0:
-                monitor.busy()
-            elif monitor._busy_since is None:
+            if monitor._busy_since is None:
                 monitor._busy_since = self.env._now
         self._in_service.add(req)
         req.succeed(req)
 
-    def _ensure_waker(self) -> None:
-        """Arrange to drain the queue when the booked window ends."""
-        avail = self._virtual_avail
-        if self._waker_at == avail:
-            return
-        self._waker_at = avail
-        event = Event(self.env)
-        event.callbacks.append(self._wake_waiters)
-        event.succeed(self, delay=avail - self.env._now)
+    def serve(self, duration: float) -> typing.Generator[typing.Any, None, None]:
+        """Hold the single server for ``duration``, FIFO behind earlier holds.
 
-    def _wake_waiters(self, _event: Event | None) -> None:
-        now = self.env._now
-        while (
-            self._queue
-            and len(self._in_service) < self.capacity
-            and self._virtual_avail <= now
-        ):
-            self._grant(self._queue.popleft())
+        The window is booked on arrival and the caller sleeps straight
+        through wait plus service to the window's end.  The monitor opens (or
+        extends) its busy interval at the window's start and caps it at the
+        window's end, so mid-window reads such as the telemetry sampler's
+        see exactly the busy time a held server would show; ``completed``
+        counts the window at its end (in :meth:`_settle`).
 
-    def _book(self, duration: float) -> float:
-        """Reserve the single server for ``duration`` and return the end time.
-
-        The window starts at ``max(now, virtual_avail)`` -- i.e. exactly when
-        the event cascade would have granted this FIFO request -- and the
-        monitor interval is opened/extended with the same float operations a
-        ``busy()``..``idle()`` sequence closed at each window's end performs.
+        When a tracer is attached and :attr:`trace_cat` is set, the
+        queueing delay (if any) becomes a ``wait`` span and the window a
+        span of category :attr:`trace_cat`, both recorded from the booked
+        instants and attributed to the calling process's current operator.
         """
-        now = self.env._now
+        if self.capacity != 1:
+            raise SimulationError(
+                f"serve() books a single server; {self.name!r} has capacity {self.capacity}"
+            )
+        env = self.env
+        now = env._now
         start = self._virtual_avail
         if start < now:
             start = now
@@ -178,89 +157,27 @@ class Resource:
                 monitor._busy_since = start
         monitor.virtual_until = end
         self._virtual_avail = end
-        return end
+        if self.trace_cat is not None and env.tracer is not None:
+            tracer = env.tracer
+            if start > now:
+                tracer.record(f"{self.name}.wait", now, start, cat="wait")
+            tracer.record(self.name, start, end, cat=self.trace_cat)
+        try:
+            yield env.sleep_until(end)
+        finally:
+            self._settle()
 
     def _settle(self) -> None:
-        """Epilogue of a booked window: counters, waiters, monitor close."""
+        """Epilogue of a booked window: count it, close the idle monitor."""
         self.completed += 1
-        now = self.env._now
-        if self._virtual_avail <= now:
-            if self._queue:
-                self._wake_waiters(None)
-            if not self._in_service:
-                # Inline UtilizationMonitor.idle() -- _settle runs once per
-                # booked service window.  The common shape here is a cap
-                # ending exactly now with an open interval to close.
-                monitor = self.monitor
-                virtual_until = monitor.virtual_until
-                since = monitor._busy_since
-                if virtual_until != 0.0:
-                    if virtual_until < now:
-                        if since is not None:
-                            monitor.busy_time += virtual_until - since
-                            since = None
-                    monitor.virtual_until = 0.0
-                if since is not None:
-                    monitor.busy_time += now - since
+        if self._virtual_avail <= self.env._now:
+            # No later window is booked: the busy interval ends at the cap
+            # (the last window's end, never after now).
+            monitor = self.monitor
+            if monitor._busy_since is not None:
+                monitor.busy_time += monitor.virtual_until - monitor._busy_since
                 monitor._busy_since = None
-
-    def serve(self, duration: float) -> typing.Generator[Event, typing.Any, None]:
-        """Acquire a server, hold it for ``duration``, release it.
-
-        When a tracer is attached and :attr:`trace_cat` is set, the queueing
-        delay (if any) becomes a ``wait`` span and the service itself a span
-        of category :attr:`trace_cat`, attributed to the calling process's
-        current operator.
-        """
-        env = self.env
-        tracer = env.tracer if self.trace_cat is not None else None
-        if tracer is None:
-            if (
-                env.fastpath
-                and self.capacity == 1
-                and not self._in_service
-                and not self._queue
-            ):
-                # Virtual-clock fast path: with one server, FIFO waiters, and
-                # every hold declared up front, this request's grant time is
-                # just the end of the previous booked window -- so book the
-                # window analytically and sleep straight through wait plus
-                # service in ONE timeout.  Grant and release instants are
-                # float-identical to the event cascade (each start *is* the
-                # previous end), the monitor accounts the window via the
-                # same interval arithmetic (see _book), and completed still
-                # increments at the release instant (in _settle).  Raw
-                # request() callers queue behind booked windows exactly as
-                # behind a held server, at which point this path stands down
-                # (the queue check above) until the queue drains.
-                end = self._book(duration)
-                try:
-                    # Raw sleep (see Process._resume): identical scheduling
-                    # instant and ordering, no Timeout allocation.
-                    yield end - env._now
-                finally:
-                    self._settle()
-                return
-            req = self.request()
-            yield req
-            try:
-                yield float(duration)
-            finally:
-                self.release(req)
-            return
-        req = self.request()
-        if req.triggered:
-            yield req
-        else:
-            wait = tracer.begin(f"{self.name}.wait", cat="wait")
-            yield req
-            tracer.end(wait)
-        span = tracer.begin(self.name, cat=self.trace_cat)
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            tracer.end(span)
-            self.release(req)
+            monitor.virtual_until = 0.0
 
     @property
     def busy_time(self) -> float:

@@ -7,6 +7,7 @@ from repro.errors import NetworkPartitionError, SiteUnavailableError
 from repro.hardware import Disk
 from repro.hardware.network import MAX_RETRANSMITS, Network
 from repro.hardware.topology import Topology
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -75,12 +76,50 @@ class TestDiskPowerOff:
 
             return local_env.run(until=local_env.process(reader()))
 
-        from repro.sim import Environment
-
         normal = timed_read(Disk(Environment(), DiskParams(sample_rotation=False)))
         slow_disk = Disk(Environment(), DiskParams(sample_rotation=False))
         slow_disk.slow_factor = 5.0
         assert timed_read(slow_disk) == pytest.approx(5.0 * normal)
+
+
+#: Every public way to put a message on the network.  Data pages travel
+#: through send_page and page-fault requests through send_request, so each
+#: availability check below runs against all three, not only send.
+SENDS = {
+    "send": lambda network, source, destination: network.send(
+        source, destination, 8192, data_pages=2
+    ),
+    "send_page": lambda network, source, destination: network.send_page(source, destination),
+    "send_request": lambda network, source, destination: network.send_request(
+        source, destination
+    ),
+}
+
+
+def _run_send(entry, before=None, during=None):
+    """Send one client->server message through ``entry`` in a fresh system.
+
+    ``before(topology)`` runs ahead of the send; ``during(topology)`` runs
+    1 us into it, while the message is in flight.
+    """
+    env = Environment()
+    topology = Topology(env, SystemConfig(num_servers=1))
+    if before is not None:
+        before(topology)
+    if during is not None:
+
+        def fault():
+            yield env.timeout(1e-6)
+            during(topology)
+
+        env.process(fault())
+    sender = env.process(SENDS[entry](topology.network, topology.client, topology.site(1)))
+    try:
+        env.run(until=sender)
+    finally:
+        # Nothing may count as delivered once the send failed.
+        assert topology.network.data_pages_sent == 0
+        assert topology.network.control_messages_sent == 0
 
 
 class TestNetworkFaults:
@@ -88,45 +127,23 @@ class TestNetworkFaults:
     def topology(self, env):
         return Topology(env, SystemConfig(num_servers=1))
 
-    def test_send_fails_during_outage(self, env, topology):
-        network = topology.network
+    def test_send_fails_during_outage(self):
+        for entry in SENDS:
+            with pytest.raises(NetworkPartitionError, match="outage"):
+                _run_send(entry, before=lambda topology: topology.network.set_down())
 
-        def sender():
-            yield from network.send(topology.client, topology.site(1), 8192, data_pages=2)
+    def test_send_fails_when_destination_crashed(self):
+        for entry in SENDS:
+            with pytest.raises(SiteUnavailableError):
+                _run_send(entry, before=lambda topology: topology.site(1).crash())
 
-        network.set_down()
-        with pytest.raises(NetworkPartitionError, match="outage"):
-            env.run(until=env.process(sender()))
-
-    def test_send_fails_when_destination_crashed(self, env, topology):
-        network = topology.network
-        topology.site(1).crash()
-
-        def sender():
-            yield from network.send(topology.client, topology.site(1), 8192)
-
-        with pytest.raises(SiteUnavailableError):
-            env.run(until=env.process(sender()))
-
-    def test_outage_mid_transfer_kills_in_flight_message(self, env, topology):
-        network = topology.network
-
-        def sender():
-            yield from network.send(topology.client, topology.site(1), 4096, data_pages=1)
-
-        def outage():
-            yield env.timeout(1e-6)
-            network.set_down()
-
-        process = env.process(sender())
-        env.process(outage())
-        with pytest.raises(NetworkPartitionError):
-            env.run(until=process)
+    def test_outage_mid_transfer_kills_in_flight_message(self):
+        for entry in SENDS:
+            with pytest.raises(NetworkPartitionError):
+                _run_send(entry, during=lambda topology: topology.network.set_down())
 
     def test_degradation_multiplies_wire_time(self, env):
         def one_send(factor):
-            from repro.sim import Environment
-
             local = Environment()
             topo = Topology(local, SystemConfig(num_servers=1))
             topo.network.degrade(factor)

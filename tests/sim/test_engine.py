@@ -253,6 +253,32 @@ class TestScheduleValidation:
         with pytest.raises(SimulationError):
             env.run()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_sleep_until_rejects_non_finite_and_past_instants(self, env, bad):
+        def sleeper():
+            yield env.sleep_until(bad)
+
+        env.process(sleeper(), name="bad-sleeper")
+        with pytest.raises(SimulationError):
+            env.run()
+        assert not env._queue
+
+    def test_sleep_until_wakes_at_the_instant_exactly(self, env):
+        # A raw sleep from 1.9513433300794225 by (end - now) wakes one ulp
+        # early here; a booked window must end where it was booked.
+        start, end = 1.9513433300794225, 6.739405870761753
+        assert start + (end - start) != end
+        woke = []
+
+        def sleeper():
+            yield start
+            yield env.sleep_until(end)
+            woke.append(env.now)
+
+        env.process(sleeper())
+        env.run()
+        assert woke == [end]
+
     def test_heap_order_survives_rejected_schedule(self, env):
         """The rejected call must leave the queue fully usable."""
         order = []

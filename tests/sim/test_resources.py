@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim import RequestPool, Resource
 
 
@@ -35,13 +36,21 @@ class TestResource:
         finished = []
 
         def worker(name):
-            yield from resource.serve(1.0)
+            request = resource.request()
+            yield request
+            yield env.timeout(1.0)
+            resource.release(request)
             finished.append((name, env.now))
 
         for name in ("a", "b", "c"):
             env.process(worker(name))
         env.run()
         assert finished == [("a", 1.0), ("b", 1.0), ("c", 2.0)]
+
+    def test_serve_needs_a_single_server(self, env):
+        resource = Resource(env, capacity=2)
+        with pytest.raises(SimulationError, match="single server"):
+            env.run(until=env.process(resource.serve(1.0)))
 
     def test_release_unknown_request_raises(self, env):
         resource = Resource(env, capacity=1)
