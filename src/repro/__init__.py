@@ -15,7 +15,33 @@ The package implements the paper's complete experimental apparatus:
 
 __version__ = "1.0.0"
 
-from repro.config import BufferAllocation, DiskParams, OptimizerConfig, SystemConfig
+import importlib
+import typing
+
+
+def lazy_getattr(
+    namespace: dict[str, typing.Any], exports: dict[str, str]
+) -> typing.Callable[[str], typing.Any]:
+    """A module ``__getattr__`` that imports each name in ``exports`` (name
+    -> defining module) on first access and keeps it in ``namespace``.
+
+    Packages whose optional modules should load only when used assign the
+    result to ``__getattr__`` (PEP 562).
+    """
+
+    def __getattr__(name: str) -> typing.Any:
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+# Below the helper: modules imported from here may use it.
+from repro.config import BufferAllocation, DiskParams, OptimizerConfig, SystemConfig  # noqa: E402
 
 __all__ = [
     "BufferAllocation",
@@ -24,3 +50,4 @@ __all__ = [
     "SystemConfig",
     "__version__",
 ]
+

@@ -9,25 +9,26 @@ or **detection on access** (clients validate versions against the server
 on every cache hit).  Both guarantee that a stale page is never served to
 a query; they differ only in where the traffic lands (write path vs read
 path), which is exactly the tradeoff the read/write-mix sweep measures.
+
+Every site keeps a :class:`ConsistencyStats`; the versions and protocols
+load only when a workload carries writes.  Each name below is imported
+from its defining module on first access.
 """
 
-from repro.consistency.config import PROTOCOL_NAMES, ConsistencyConfig
-from repro.consistency.protocol import (
-    ConsistencyManager,
-    DetectionProtocol,
-    InvalidationProtocol,
-    make_protocol,
-)
-from repro.consistency.stats import ConsistencyStats
-from repro.consistency.versions import VersionTable
+from repro import lazy_getattr
 
-__all__ = [
-    "PROTOCOL_NAMES",
-    "ConsistencyConfig",
-    "ConsistencyManager",
-    "ConsistencyStats",
-    "DetectionProtocol",
-    "InvalidationProtocol",
-    "VersionTable",
-    "make_protocol",
-]
+#: The module defining each public name.
+_EXPORTS = {
+    "PROTOCOL_NAMES": "repro.consistency.config",
+    "ConsistencyConfig": "repro.consistency.config",
+    "ConsistencyManager": "repro.consistency.protocol",
+    "DetectionProtocol": "repro.consistency.protocol",
+    "InvalidationProtocol": "repro.consistency.protocol",
+    "make_protocol": "repro.consistency.protocol",
+    "ConsistencyStats": "repro.consistency.stats",
+    "VersionTable": "repro.consistency.versions",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_getattr(globals(), _EXPORTS)

@@ -18,8 +18,8 @@ admission control (see :mod:`repro.workload`).
 With a :class:`~repro.faults.FaultSchedule` attached, the executor becomes
 fault tolerant: a :class:`~repro.faults.FaultInjector` crashes servers,
 partitions the network, and slows disks mid-run, and the session's
-*recovery loop* -- one loop for single queries, concurrent queries, and
-writes alike -- reacts to the resulting
+*recovery loop* (:mod:`repro.engine.supervision`) -- one loop for single
+queries, concurrent queries, and writes alike -- reacts to the resulting
 :class:`~repro.errors.TransientFaultError`\\ s with bounded retries
 (exponential backoff + jitter, all in sim time), re-optimizing around
 crashed sites -- falling back to the client's cached copies exactly where
@@ -36,32 +36,21 @@ from repro.catalog.catalog import Catalog
 from repro.config import OptimizerConfig, SystemConfig
 from repro.costmodel.estimates import Estimator
 from repro.costmodel.model import EnvironmentState, Objective
-from repro.engine.aggregates import HashAggregateIterator
 from repro.engine.base import PhysicalOp
 from repro.engine.exchange import ExchangeReceiver
-from repro.engine.filters import UdfFilterIterator
 from repro.engine.joins import HashJoinIterator
-from repro.engine.loadgen import DiskLoadGenerator
 from repro.engine.scans import ScanIterator
 from repro.engine.selects import SelectIterator
-from repro.engine.semijoins import SemiJoinIterator
 from repro.engine.sinks import DisplayIterator
-from repro.engine.writes import WriteSpec, make_write_iterator
 from repro.errors import (
     ConfigurationError,
     ExecutionError,
-    OptimizationError,
-    PolicyViolationError,
     QueryShedError,
-    QueryTimeoutError,
     TransientFaultError,
 )
-from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RecoveryPolicy, RecoveryStats
-from repro.faults.schedule import FaultSchedule
 from repro.hardware.site import CLIENT_SITE_ID, Site
 from repro.hardware.topology import Topology
-from repro.plans.annotations import Annotation
 from repro.plans.binding import BoundPlan, bind_plan
 from repro.plans.logical import Query
 from repro.plans.operators import (
@@ -74,13 +63,17 @@ from repro.plans.operators import (
     SemiJoinOp,
     UdfFilterOp,
 )
-from repro.plans.policies import Policy, allowed_annotations, check_policy
+from repro.plans.policies import Policy
 from repro.plans.validate import validate_plan
-from repro.sim import AnyOf, Environment, Event, Process
+from repro.sim import Environment, Event, Process
 from repro.storage.memory import MemoryPressureState
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.caching.buffer import CacheState
+    from repro.engine.loadgen import DiskLoadGenerator
+    from repro.engine.writes import WriteSpec
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
     from repro.obs.telemetry import Telemetry, TelemetryConfig
     from repro.obs.trace import Tracer
     from repro.optimizer.cache import PlanCache
@@ -277,6 +270,9 @@ class QueryExecutor:
             tracer.bind(self.env)
         self.estimator = Estimator(query, catalog, config)
         self.load_generators: list[DiskLoadGenerator] = []
+        if self.server_loads:
+            from repro.engine.loadgen import DiskLoadGenerator
+
         for site_id, rate in self.server_loads.items():
             self.load_generators.append(
                 DiskLoadGenerator(
@@ -301,6 +297,8 @@ class QueryExecutor:
         self.recovery_stats = RecoveryStats()
         self.injector: FaultInjector | None = None
         if faults is not None and not faults.is_empty:
+            from repro.faults.injector import FaultInjector
+
             self.injector = FaultInjector(self.env, self.topology, faults, seed=seed)
         # Telemetry: a simulated-time gauge sampler, created only on
         # request -- the default (None) adds no process and no events, so
@@ -360,11 +358,15 @@ class QueryExecutor:
         elif isinstance(op, UdfFilterOp):
             child = self._build_op(op.child, bound, context, labels)
             child = self._maybe_exchange(site, op.child, child, bound, context)
+            from repro.engine.filters import UdfFilterIterator
+
             phys = UdfFilterIterator(context, site, child, op.udf)
         elif isinstance(op, SemiJoinOp):
             child = self._build_op(op.child, bound, context, labels)
             child = self._maybe_exchange(site, op.child, child, bound, context)
             reduction = op.reduction
+            from repro.engine.semijoins import SemiJoinIterator
+
             phys = SemiJoinIterator(
                 context,
                 site,
@@ -376,6 +378,8 @@ class QueryExecutor:
         elif isinstance(op, AggregateOp):
             child = self._build_op(op.child, bound, context, labels)
             child = self._maybe_exchange(site, op.child, child, bound, context)
+            from repro.engine.aggregates import HashAggregateIterator
+
             est = self.estimator
             phys = HashAggregateIterator(
                 context,
@@ -519,71 +523,6 @@ class QueryExecutor:
             forced_client_relations=forced_client_relations,
             plan_cache=self.plan_cache,
         ).optimize().plan
-
-    def _replan(
-        self, annotated: DisplayOp, client_site: int = CLIENT_SITE_ID
-    ) -> DisplayOp | None:
-        """Re-route or re-optimize around crashed sites; None if nothing
-        useful to do.
-
-        Each scan whose serving copy is down is first offered a *surviving
-        replica*: if every affected relation has one, the plan is simply
-        rehomed onto the survivors -- no re-optimization, and every policy
-        (including query-shipping) can fail over this way.  Relations with
-        no reachable copy at all are constrained to be scanned at the
-        client (from its cached prefix) -- the data-shipping fallback,
-        which policies without ``client`` scans cannot express, so they
-        keep their plan and simply wait out the restart window.
-        """
-        from repro.optimizer.random_plans import rehome_scans
-
-        down = {site.site_id for site in self.topology.servers if not site.up}
-        if not down:
-            return None
-        rehomed: dict[str, int | None] = {}
-        stranded: set[str] = set()
-        for op in annotated.walk():
-            if not isinstance(op, ScanOp) or op.relation in rehomed or op.relation in stranded:
-                continue
-            primary = self.catalog.server_of(op.relation)
-            home = op.home if op.home is not None else primary
-            if home not in down:
-                continue
-            survivors = [s for s in self.catalog.servers_of(op.relation) if s not in down]
-            if survivors:
-                rehomed[op.relation] = None if survivors[0] == primary else survivors[0]
-            else:
-                stranded.add(op.relation)
-        if not rehomed and not stranded:
-            return None
-        if not stranded:
-            # Pure replica failover: keep the plan, repoint the scans.
-            return rehome_scans(annotated, rehomed)
-        policy = self.policy or self._infer_policy(annotated)
-        if Annotation.CLIENT not in allowed_annotations(policy, "scan"):
-            return None
-        try:
-            plan = self.optimize_for(client_site, policy, frozenset(stranded))
-        except OptimizationError:
-            return None
-        # Freshly optimized scans default to the primary copy; repoint the
-        # relations whose serving copy is down onto their survivors.
-        return rehome_scans(plan, rehomed)
-
-    @staticmethod
-    def _infer_policy(plan: DisplayOp) -> Policy:
-        """Strictest policy the plan's annotations conform to."""
-        for policy in (
-            Policy.DATA_SHIPPING,
-            Policy.QUERY_SHIPPING,
-            Policy.HYBRID_SHIPPING,
-        ):
-            try:
-                check_policy(plan, policy)
-                return policy
-            except PolicyViolationError:
-                continue
-        return Policy.HYBRID_SHIPPING
 
     # ------------------------------------------------------------------
     # Metrics
@@ -793,16 +732,18 @@ class Session:
 
     def _servers(self, target: "BoundPlan | WriteSpec") -> tuple[int, ...]:
         """The servers an attempt occupies, in id order."""
-        if isinstance(target, WriteSpec):
-            return tuple(sorted(self.executor.catalog.servers_of(target.relation)))
-        return tuple(sorted(sid for sid in target.sites_used() if sid >= 1))
+        if isinstance(target, BoundPlan):
+            return tuple(sorted(sid for sid in target.sites_used() if sid >= 1))
+        return tuple(sorted(self.executor.catalog.servers_of(target.relation)))
 
     def _build(
         self, target: "BoundPlan | WriteSpec", context: ExecutionContext
     ) -> PhysicalOp:
         executor = self.executor
-        if not isinstance(target, WriteSpec):
+        if isinstance(target, BoundPlan):
             return executor.build_physical(target, context)
+        from repro.engine.writes import make_write_iterator
+
         site = executor.topology.site(self.client_site)
         root = make_write_iterator(context, site, target)
         root.label = f"{target.kind}[{target.relation}]@{site.name}"
@@ -844,94 +785,16 @@ class Session:
 
         Without a fault injector or a recovery policy there is exactly one
         *unsupervised* attempt, driven inline in this process (see
-        :meth:`_run_inline`).  Otherwise each attempt is spawned under
-        supervision and raced against its fault event and the timeout.  A
-        failed attempt gives back its tickets, grants and temp extents, is
-        counted and traced, and is followed -- within the attempt budget --
-        by a jittered backoff and, for annotated plans, a replan around
-        crashed sites.  The timeout is measured from *submission*, so time
-        spent in admission queues uses up budget: queueing delay is part of
-        the response time the client experiences.
+        :meth:`_run_inline`).  Otherwise the attempts run through the
+        recovery loop, :func:`repro.engine.supervision.supervised_attempts`,
+        which is loaded only then.
         """
-        executor = self.executor
-        work = self.work
-        if self.recovery is None and not executor.fault_tolerant:
-            target = self._target(work)
+        if self.recovery is None and not self.executor.fault_tolerant:
+            target = self._target(self.work)
             return (yield from self._run_inline(target)), target
-        env = executor.env
-        recovery = self.recovery or RecoveryPolicy()
-        stats = self.stats
-        rng = random.Random(self.jitter_stream)
-        deadline = (
-            None
-            if recovery.query_timeout is None
-            else self.submitted + recovery.query_timeout
-        )
-        attempt = 0
-        while True:
-            attempt += 1
-            target = self._target(work)
-            tickets = yield from self._acquire(target)
-            context = executor.new_context(supervised=True)
-            root = self._build(target, context)
-            consumer = context.spawn(
-                executor._drive(root), name=f"{self.session_id}#{attempt}"
-            )
-            assert context.fault_event is not None
-            watchers: list[Event] = [consumer, context.fault_event]
-            if deadline is not None:
-                watchers.append(env.timeout(max(0.0, deadline - env.now)))
-            failure: TransientFaultError | None = None
-            try:
-                yield AnyOf(env, watchers)
-            except QueryShedError:
-                # Shedding (say, a static buffer pool exhausted deep in an
-                # exchange subtree) is a load-control verdict, not a fault:
-                # give everything back and let the caller see it.
-                self._release(tickets)
-                context.abort()
-                raise
-            except TransientFaultError as exc:
-                failure = exc
-            self._release(tickets)
-            if failure is None:
-                if consumer.triggered and consumer.ok:
-                    stats.record_success(env.now)
-                    context.finish()
-                    self.root = root
-                    return root.tuples_produced, target
-                failure = QueryTimeoutError(
-                    f"{self.session_id} timed out after {recovery.query_timeout}s "
-                    f"(attempt {attempt})"
-                )
-            stats.record_fault(env.now)
-            stats.wasted_work_pages.add(context.pages_produced())
-            context.abort()
-            tracer = env.tracer
-            if tracer is not None:
-                tracer.instant(
-                    "attempt-failed",
-                    cat="fault",
-                    args={"attempt": attempt, "error": str(failure)},
-                )
-            if deadline is not None and env.now >= deadline:
-                if not isinstance(failure, QueryTimeoutError):
-                    failure = QueryTimeoutError(
-                        f"{self.session_id} timed out after {recovery.query_timeout}s "
-                        f"while recovering from: {failure}"
-                    )
-                raise failure
-            if attempt >= recovery.max_attempts:
-                raise failure
-            stats.retries.add()
-            if tracer is not None:
-                tracer.instant("retry", cat="fault", args={"attempt": attempt + 1})
-            yield env.timeout(recovery.backoff(attempt, rng))
-            if recovery.replan and isinstance(work, DisplayOp):
-                replanned = executor._replan(work, client_site=self.client_site)
-                if replanned is not None:
-                    work = replanned
-                    stats.replans.add()
+        from repro.engine.supervision import supervised_attempts
+
+        return (yield from supervised_attempts(self))
 
     def _run_inline(self, target: "BoundPlan | WriteSpec") -> typing.Generator:
         """The fault-free attempt, in this process; returns the result tuples.

@@ -119,10 +119,10 @@ class MemoryExhaustedError(QueryShedError):
 class TransientFaultError(ExecutionError):
     """A potentially recoverable runtime fault (crash, partition, timeout).
 
-    The recovery loop in :class:`~repro.engine.executor.QueryExecutor`
-    catches this branch of the hierarchy, aborts the running attempt, and
-    retries (possibly after re-optimization); any other error still aborts
-    the whole simulation.
+    The recovery loop in :mod:`repro.engine.supervision` catches this
+    branch of the hierarchy, aborts the running attempt, and retries
+    (possibly after re-optimization); any other error still aborts the
+    whole simulation.
     """
 
 

@@ -18,25 +18,27 @@ lets experiments exercise that claim:
 
 All state transitions happen in simulated time, so a given seed and
 schedule always reproduce the identical trace, retries included.
+
+Every executor counts its attempts in a
+:class:`~repro.faults.recovery.RecoveryStats`; the schedule and injector
+load only when a run is given a fault schedule.  Each name below is
+imported from its defining module on first access.
 """
 
-from repro.faults.schedule import (
-    CrashWindow,
-    DegradationWindow,
-    DiskSlowdownWindow,
-    FaultSchedule,
-    OutageWindow,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.recovery import RecoveryPolicy, RecoveryStats
+from repro import lazy_getattr
 
-__all__ = [
-    "CrashWindow",
-    "DegradationWindow",
-    "DiskSlowdownWindow",
-    "FaultInjector",
-    "FaultSchedule",
-    "OutageWindow",
-    "RecoveryPolicy",
-    "RecoveryStats",
-]
+#: The module defining each public name.
+_EXPORTS = {
+    "CrashWindow": "repro.faults.schedule",
+    "DegradationWindow": "repro.faults.schedule",
+    "DiskSlowdownWindow": "repro.faults.schedule",
+    "FaultSchedule": "repro.faults.schedule",
+    "OutageWindow": "repro.faults.schedule",
+    "FaultInjector": "repro.faults.injector",
+    "RecoveryPolicy": "repro.faults.recovery",
+    "RecoveryStats": "repro.faults.recovery",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_getattr(globals(), _EXPORTS)

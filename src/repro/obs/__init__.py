@@ -20,43 +20,40 @@
   channel; :func:`telemetry_csv` / :func:`telemetry_json` export the raw
   series.
 
+Every topology registers its devices with :mod:`repro.obs.metrics`; the
+other modules load only when a run traces, samples or exports.  Each name
+below is imported from its defining module on first access.
+
 The cost-model validation harness lives in :mod:`repro.obs.validate` and is
 *not* re-exported here: it imports the engine and optimizer layers, which in
-turn import this package's tracer/metrics half.
+turn import this package's metrics module.
 """
 
-from repro.obs.export import (
-    chrome_counter_events,
-    chrome_trace_events,
-    chrome_trace_json,
-    render_dashboard,
-    render_timeline,
-    telemetry_csv,
-    telemetry_json,
-    write_chrome_trace,
-)
-from repro.obs.metrics import Gauge, MetricsRegistry, register_topology_metrics
-from repro.obs.telemetry import Series, Telemetry, TelemetryConfig, TelemetrySampler
-from repro.obs.trace import RESOURCE_CATEGORIES, Instant, Span, Tracer
+from repro import lazy_getattr
 
-__all__ = [
-    "Tracer",
-    "Span",
-    "Instant",
-    "RESOURCE_CATEGORIES",
-    "MetricsRegistry",
-    "Gauge",
-    "register_topology_metrics",
-    "Series",
-    "Telemetry",
-    "TelemetryConfig",
-    "TelemetrySampler",
-    "chrome_counter_events",
-    "chrome_trace_events",
-    "chrome_trace_json",
-    "write_chrome_trace",
-    "render_timeline",
-    "render_dashboard",
-    "telemetry_csv",
-    "telemetry_json",
-]
+#: The module defining each public name.
+_EXPORTS = {
+    "Tracer": "repro.obs.trace",
+    "Span": "repro.obs.trace",
+    "Instant": "repro.obs.trace",
+    "RESOURCE_CATEGORIES": "repro.obs.trace",
+    "MetricsRegistry": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "register_topology_metrics": "repro.obs.metrics",
+    "Series": "repro.obs.telemetry",
+    "Telemetry": "repro.obs.telemetry",
+    "TelemetryConfig": "repro.obs.telemetry",
+    "TelemetrySampler": "repro.obs.telemetry",
+    "chrome_counter_events": "repro.obs.export",
+    "chrome_trace_events": "repro.obs.export",
+    "chrome_trace_json": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "render_timeline": "repro.obs.export",
+    "render_dashboard": "repro.obs.export",
+    "telemetry_csv": "repro.obs.export",
+    "telemetry_json": "repro.obs.export",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_getattr(globals(), _EXPORTS)

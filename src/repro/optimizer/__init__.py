@@ -11,18 +11,21 @@ query-shipping, or hybrid-shipping policy.
 :mod:`repro.optimizer.two_step` adds the section-5 machinery: *static*
 plans fully optimized at compile time under an assumed system state, and
 *2-step* plans whose join order is compiled but whose site selection is
-redone at run time.
+redone at run time.  It loads on first access to one of its names.
 """
 
+from repro import lazy_getattr
 from repro.optimizer.cache import CacheStats, PlanCache, plan_fingerprint
 from repro.optimizer.random_plans import PlanShape, random_plan
 from repro.optimizer.space import random_neighbor
 from repro.optimizer.two_phase import OptimizationResult, RandomizedOptimizer, optimize
-from repro.optimizer.two_step import (
-    CompiledQuery,
-    TwoStepOptimizer,
-    site_selection_only,
-)
+
+#: Names imported from their defining module on first access.
+_EXPORTS = {
+    "CompiledQuery": "repro.optimizer.two_step",
+    "TwoStepOptimizer": "repro.optimizer.two_step",
+    "site_selection_only": "repro.optimizer.two_step",
+}
 
 __all__ = [
     "CacheStats",
@@ -38,3 +41,5 @@ __all__ = [
     "random_plan",
     "site_selection_only",
 ]
+
+__getattr__ = lazy_getattr(globals(), _EXPORTS)

@@ -10,9 +10,10 @@ for each operator (Table 1); :mod:`repro.plans.policies` encodes that table.
 Annotations are bound to physical sites only at execution time
 (:mod:`repro.plans.binding`), so the same plan adapts when data migrates or
 queries are submitted elsewhere -- the property the 2-step optimization study
-(section 5) relies on.
+(section 5) relies on.  :func:`render_plan` loads on first access.
 """
 
+from repro import lazy_getattr
 from repro.plans.logical import (
     Aggregation,
     JoinPredicate,
@@ -34,7 +35,9 @@ from repro.plans.operators import (
 from repro.plans.policies import Policy, allowed_annotations, check_policy
 from repro.plans.validate import is_well_formed, validate_plan
 from repro.plans.binding import BoundPlan, bind_plan
-from repro.plans.render import render_plan
+
+#: Names imported from their defining module on first access.
+_EXPORTS = {"render_plan": "repro.plans.render"}
 
 __all__ = [
     "AggregateOp",
@@ -60,3 +63,5 @@ __all__ = [
     "render_plan",
     "validate_plan",
 ]
+
+__getattr__ = lazy_getattr(globals(), _EXPORTS)

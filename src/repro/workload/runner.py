@@ -26,13 +26,10 @@ import random
 
 from repro.caching.config import CacheConfig
 from repro.config import OptimizerConfig
-from repro.consistency import ConsistencyConfig, make_protocol
+from repro.consistency.config import ConsistencyConfig
 from repro.costmodel.model import EnvironmentState, Objective
 from repro.engine.executor import QueryExecutor, Session, SessionResult
-from repro.engine.writes import WRITE_KINDS, WriteSpec
 from repro.errors import ConfigurationError
-from repro.faults.recovery import RecoveryPolicy
-from repro.faults.schedule import FaultSchedule
 from repro.hardware.site import client_site_id
 from repro.hardware.topology import Topology
 from repro.obs.metrics import register_gauges
@@ -46,6 +43,8 @@ from repro.workload.results import WorkloadResult
 from repro.workload.streams import ClientStream, StreamConfig
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.recovery import RecoveryPolicy
+    from repro.faults.schedule import FaultSchedule
     from repro.obs.telemetry import TelemetryConfig
     from repro.obs.trace import Tracer
     from repro.workloads.scenarios import Scenario
@@ -206,6 +205,8 @@ class WorkloadRunner:
             },
         )
         if self.stream.write_fraction > 0.0:
+            from repro.consistency.protocol import make_protocol
+
             topology.consistency = make_protocol(self.consistency, topology)
         executor = QueryExecutor(
             config,
@@ -255,6 +256,8 @@ class WorkloadRunner:
             )
 
         def launch_write(ordinal: int, index: int, rng: random.Random) -> Session:
+            from repro.engine.writes import WRITE_KINDS, WriteSpec
+
             relation = rng.choice(scenario.catalog.relation_names)
             kind = rng.choice(WRITE_KINDS)
             total = scenario.catalog.relation(relation).pages(config)

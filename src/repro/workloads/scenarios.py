@@ -10,6 +10,7 @@ count, caching, buffer allocation, selectivity, placement seed, and load.
 from __future__ import annotations
 
 import random
+import typing
 from dataclasses import dataclass, field, replace
 
 from repro.catalog.catalog import Catalog
@@ -18,17 +19,19 @@ from repro.config import BufferAllocation, OptimizerConfig, SystemConfig
 from repro.costmodel.model import EnvironmentState, Objective
 from repro.engine.executor import ExecutionResult, QueryExecutor
 from repro.errors import ConfigurationError
-from repro.faults.recovery import RecoveryPolicy
-from repro.faults.schedule import FaultSchedule
-from repro.obs.telemetry import TelemetryConfig
-from repro.obs.trace import Tracer
-from repro.optimizer.cache import PlanCache
-from repro.plans.binding import BoundPlan
 from repro.plans.logical import Query
-from repro.plans.operators import DisplayOp
-from repro.plans.policies import Policy
 from repro.workloads.chains import chain_query
 from repro.workloads.relations import benchmark_relations
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.recovery import RecoveryPolicy
+    from repro.faults.schedule import FaultSchedule
+    from repro.obs.telemetry import TelemetryConfig
+    from repro.obs.trace import Tracer
+    from repro.optimizer.cache import PlanCache
+    from repro.plans.binding import BoundPlan
+    from repro.plans.operators import DisplayOp
+    from repro.plans.policies import Policy
 
 __all__ = ["Scenario", "chain_scenario"]
 

@@ -93,8 +93,9 @@ class TestMidQueryFailover:
         assert result.replans >= 1
 
     def test_replan_rehomes_every_scan_of_the_crashed_server(self):
-        # Drive the executor's replanner directly and inspect the plan.
+        # Drive the recovery loop's replanner directly and inspect the plan.
         from repro.engine.executor import QueryExecutor
+        from repro.engine.supervision import replan
 
         scenario = scenario_with_replicas(cached_fraction=0.0)
         plan = optimized(scenario, Policy.QUERY_SHIPPING)
@@ -107,7 +108,7 @@ class TestMidQueryFailover:
             optimizer_config=FAST,
         )
         executor.topology.site(1).up = False
-        replanned = executor._replan(plan)
+        replanned = replan(executor, plan)
         assert replanned is not None
         for op in replanned.walk():
             if not isinstance(op, ScanOp):
