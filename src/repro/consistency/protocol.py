@@ -41,7 +41,12 @@ class ConsistencyManager:
     name = "?"
 
     def __init__(self, topology: "Topology") -> None:
-        self.topology = topology
+        # The parts of the topology the protocols use, not the topology
+        # itself: the topology holds this manager, and a reference back
+        # would put the whole system in a cycle.
+        self.env = topology.env
+        self.network = topology.network
+        self.clients = topology.clients
         self.versions = VersionTable()
         #: Stale pages returned to a query.  Must stay 0; the read/write
         #: tests assert it (the protocols detect staleness instead).
@@ -105,8 +110,8 @@ class InvalidationProtocol(ConsistencyManager):
     def commit_write(
         self, primary: "Site", relation: str, page_indexes: typing.Sequence[int]
     ) -> typing.Generator:
-        network = self.topology.network
-        tracer = self.topology.env.tracer
+        network = self.network
+        tracer = self.env.tracer
         for index in page_indexes:
             self.versions.bump(relation, index)
         span = None
@@ -118,7 +123,7 @@ class InvalidationProtocol(ConsistencyManager):
             )
         try:
             for index in page_indexes:
-                for client in self.topology.clients:
+                for client in self.clients:
                     cache = client.buffer_cache
                     if cache is None or not cache.contains(relation, index):
                         continue
@@ -159,8 +164,8 @@ class DetectionProtocol(ConsistencyManager):
     def validate_hit(
         self, client: "Site", home: "Site", relation: str, page_index: int
     ) -> typing.Generator:
-        network = self.topology.network
-        tracer = self.topology.env.tracer
+        network = self.network
+        tracer = self.env.tracer
         span = None
         if tracer is not None:
             span = tracer.begin(

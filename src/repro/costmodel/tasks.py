@@ -79,19 +79,16 @@ class StageGraph:
         return combined
 
     def critical_path(self) -> float:
-        """Earliest-finish schedule length ignoring cross-stage contention."""
+        """Earliest-finish schedule length ignoring cross-stage contention.
+
+        Stage construction order is a topological order (see
+        :meth:`scheduled_makespan`), so one pass finishes every stage.
+        """
         finish: dict[int, float] = {}
-
-        def finish_of(stage: Stage) -> float:
-            cached = finish.get(id(stage))
-            if cached is not None:
-                return cached
-            start = max((finish_of(pred) for pred in stage.preds), default=0.0)
-            value = start + stage.duration
-            finish[id(stage)] = value
-            return value
-
-        return max((finish_of(stage) for stage in self.stages), default=0.0)
+        for stage in self.stages:
+            start = max((finish[id(pred)] for pred in stage.preds), default=0.0)
+            finish[id(stage)] = start + stage.duration
+        return max(finish.values(), default=0.0)
 
     def scheduled_makespan(self) -> float:
         """List schedule with per-resource reservation.

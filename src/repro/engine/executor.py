@@ -156,9 +156,13 @@ class ExecutionContext:
         tree -- its exchange processes, channels, and temp files -- alive
         until a cyclic GC pass, and the workload runner pauses those for the
         whole simulation.  Dropping the list lets refcounting free the tree
-        as soon as its session lets go of the root.
+        as soon as its session lets go of the root.  The fault event goes
+        too, and with it the last link of another cycle: a reported fault's
+        traceback holds the frames of this attempt's operators.  A finished
+        attempt takes no more fault reports.
         """
         self.operators = []
+        self.fault_event = None
 
     def _supervise(self, generator: typing.Generator) -> typing.Generator:
         """Convert an escaping transient fault (or shed) into a fault-event
@@ -265,6 +269,9 @@ class QueryExecutor:
             self.env = env if env is not None else Environment()
             self.topology = Topology(self.env, config, seed=seed)
             catalog.install(self.topology)
+        #: Whether :meth:`close` frees the environment: only one this
+        #: executor created itself.
+        self._owns_env = env is None and topology is None
         self.tracer = tracer
         if tracer is not None:
             tracer.bind(self.env)
@@ -446,9 +453,26 @@ class QueryExecutor:
         )
         self.env.run(until=self.env.process(session.run(), name="query-driver"))
         self.recovery_stats = session.stats
-        if session.error is not None:
-            raise session.error
+        error = session.error
+        if error is not None:
+            # The traceback will hold this frame, so nothing here may keep
+            # pointing at the error: that cycle would keep the run resident.
+            session.error = None
+            try:
+                raise error
+            finally:
+                del error
         return self._collect(session.root)
+
+    def close(self) -> None:
+        """Free the simulated system this executor built (see
+        :meth:`Environment.close`); a no-op on a caller's environment.
+
+        Call it once the last :meth:`execute` result is collected; results
+        and the topology's counters stay readable.
+        """
+        if self._owns_env:
+            self.env.close()
 
     def new_context(self, supervised: bool = False) -> ExecutionContext:
         """A fresh context for one run (or recovery attempt) of this query."""
@@ -696,7 +720,8 @@ class Session:
         self.queue_delay = 0.0
         #: Root of the attempt that completed (None until one does).
         self.root: PhysicalOp | None = None
-        #: Why the session was shed or failed (None once it completed).
+        #: Why the session was shed or failed (None once it completed),
+        #: without its traceback.
         self.error: QueryShedError | TransientFaultError | None = None
         self._pages_before = 0
 
@@ -713,12 +738,11 @@ class Session:
         self._pages_before = executor.topology.network.data_pages_sent
         try:
             tuples, target = yield from self._attempts()
-        except QueryShedError as exc:
-            self.error = exc
-            return self._result("shed")
-        except TransientFaultError as exc:
-            self.error = exc
-            return self._result("failed")
+        except (QueryShedError, TransientFaultError) as exc:
+            # Kept without its traceback: the traceback's frames hold this
+            # session, and the cycle would keep the whole run resident.
+            self.error = exc.with_traceback(None)
+            return self._result("shed" if isinstance(exc, QueryShedError) else "failed")
         return self._result("completed", tuples, self._servers(target))
 
     # ------------------------------------------------------------------

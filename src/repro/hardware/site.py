@@ -11,6 +11,7 @@ no replication) and also use their disks for join temp space.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 import typing
 
@@ -178,8 +179,13 @@ class Site:
         self.up = False
         self.crash_count += 1
         self._down_since = self.env.now
+        # The disks keep the factory while the site is down, so it must not
+        # hold the site: a bound method would close a cycle through it.
+        make_error = functools.partial(
+            SiteUnavailableError, self._down_message(), self.site_id
+        )
         for disk in self.disks:
-            disk.power_off(self.unavailable_error)
+            disk.power_off(make_error)
 
     def restart(self) -> None:
         """Bring a crashed site back up (primary copies survive on disk)."""
@@ -193,10 +199,10 @@ class Site:
             disk.power_on()
 
     def unavailable_error(self) -> SiteUnavailableError:
-        return SiteUnavailableError(
-            f"site {self.name!r} is down (crashed at t={self._down_since})",
-            self.site_id,
-        )
+        return SiteUnavailableError(self._down_message(), self.site_id)
+
+    def _down_message(self) -> str:
+        return f"site {self.name!r} is down (crashed at t={self._down_since})"
 
     def check_available(self) -> None:
         """Raise :class:`SiteUnavailableError` if this site is crashed."""

@@ -16,12 +16,16 @@ Three instrument kinds:
 - :class:`Gauge` -- a zero-cost callable sampled only at snapshot time
   (how existing hardware statistics are pulled in without touching their
   hot paths).  Topology gauges come from module-level ``(leaf, getter)``
-  tables applied to each site, disk and client, so a gauge holds a shared
-  getter and its owner rather than a closure of its own.
+  tables applied to each site, disk and client (:meth:`MetricsRegistry.gauges`):
+  a device is one registry entry holding its owner and a
+  ``{name: getter}`` map that is built once per (prefix, table) and shared
+  by every topology, so runs of one shape share their metric names --
+  and the profiles they snapshot share their keys.
 """
 
 from __future__ import annotations
 
+import functools
 import typing
 from operator import attrgetter, methodcaller
 
@@ -33,40 +37,48 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.site import Site
     from repro.hardware.topology import Topology
 
-__all__ = ["Gauge", "MetricsRegistry", "register_gauges", "register_topology_metrics"]
+__all__ = ["Gauge", "MetricsRegistry", "register_topology_metrics"]
 
 
 class Gauge:
-    """A named metric sampled on demand: ``fn(owner)``, or ``fn()`` unowned.
+    """A named metric sampled on demand: ``fn()``."""
 
-    An owner lets one module-level getter serve every device of a kind
-    (``attrgetter("reads")`` for each disk) instead of a closure per gauge.
-    """
+    __slots__ = ("name", "fn")
 
-    __slots__ = ("name", "fn", "owner")
-
-    def __init__(
-        self, name: str, fn: typing.Callable[..., float], owner: typing.Any = None
-    ) -> None:
+    def __init__(self, name: str, fn: typing.Callable[[], float]) -> None:
         self.name = name
         self.fn = fn
-        self.owner = owner
 
     @property
     def value(self) -> float:
-        if self.owner is None:
-            return self.fn()
-        return self.fn(self.owner)
+        return self.fn()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Gauge {self.name!r}={self.value}>"
+
+
+class _DeviceGauges:
+    """Every gauge of one device: ``getters[name](owner)`` per name."""
+
+    __slots__ = ("getters", "owner")
+
+    def __init__(
+        self, getters: dict[str, typing.Callable[[typing.Any], float]], owner: typing.Any
+    ) -> None:
+        self.getters = getters
+        self.owner = owner
+
+    def read(self, name: str) -> float:
+        return self.getters[name](self.owner)
 
 
 class MetricsRegistry:
     """A flat namespace of instruments with hierarchical dotted names."""
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Tally | Gauge] = {}
+        # One entry per name; a device's gauges all map to its one
+        # _DeviceGauges entry.
+        self._instruments: dict[str, Counter | Tally | Gauge | _DeviceGauges] = {}
 
     # ------------------------------------------------------------------
     # Registration / lookup
@@ -91,16 +103,24 @@ class MetricsRegistry:
             raise TypeError(f"metric {name!r} is a {type(instrument).__name__}, not a Tally")
         return instrument
 
-    def gauge(
-        self, name: str, fn: typing.Callable[..., float], owner: typing.Any = None
-    ) -> Gauge:
-        """Register (or replace) a sampled gauge called ``name``.
-
-        Its value is ``fn(owner)``, or ``fn()`` when ``owner`` is None.
-        """
-        instrument = Gauge(name, fn, owner)
+    def gauge(self, name: str, fn: typing.Callable[[], float]) -> Gauge:
+        """Register (or replace) a sampled gauge called ``name``."""
+        instrument = Gauge(name, fn)
         self._instruments[name] = instrument
         return instrument
+
+    def gauges(
+        self,
+        prefix: str,
+        owner: typing.Any,
+        table: typing.Iterable[tuple[str, typing.Callable[[typing.Any], float]]],
+    ) -> None:
+        """Register (or replace) ``prefix.<leaf>`` as ``getter(owner)`` for
+        every ``(leaf, getter)`` of ``table``, as one entry for ``owner``."""
+        getters = _table_getters(prefix, tuple(table))
+        entry = _DeviceGauges(getters, owner)
+        for name in getters:
+            self._instruments[name] = entry
 
     def register(self, instrument: "Counter | Tally") -> None:
         """Adopt an existing (named) counter or tally into the registry."""
@@ -116,6 +136,8 @@ class MetricsRegistry:
         instrument = self._instruments[name]
         if isinstance(instrument, Tally):
             raise TypeError(f"metric {name!r} is a Tally; read its snapshot leaves")
+        if type(instrument) is _DeviceGauges:
+            return float(instrument.read(name))
         return float(instrument.value)
 
     def __len__(self) -> int:
@@ -140,8 +162,8 @@ class MetricsRegistry:
         out: dict[str, float] = {}
         for name in self.names(prefix):
             instrument = self._instruments[name]
-            if isinstance(instrument, Counter):
-                out[name] = instrument.value
+            if type(instrument) is _DeviceGauges:
+                out[name] = instrument.read(name)
             elif isinstance(instrument, Tally):
                 out[f"{name}.count"] = instrument.count
                 if instrument.count:
@@ -262,15 +284,17 @@ NETWORK_GAUGES: tuple[tuple[str, typing.Callable[["Network"], float]], ...] = (
 )
 
 
-def register_gauges(
-    registry: MetricsRegistry,
-    prefix: str,
-    owner: typing.Any,
-    table: typing.Iterable[tuple[str, typing.Callable[[typing.Any], float]]],
-) -> None:
-    """Register ``prefix.<leaf>`` for every ``(leaf, getter)`` of ``table``."""
-    for leaf, getter in table:
-        registry.gauge(f"{prefix}.{leaf}", getter, owner)
+@functools.lru_cache(maxsize=None)
+def _table_getters(
+    prefix: str, table: tuple[tuple[str, typing.Callable[[typing.Any], float]], ...]
+) -> dict[str, typing.Callable[[typing.Any], float]]:
+    """``{prefix.<leaf>: getter}`` for one table, built once per (prefix,
+    table): every registry registering it shares these name strings.
+
+    Read-only for callers.  The cache grows with the distinct device names
+    seen (a few per site), not with the number of runs.
+    """
+    return {f"{prefix}.{leaf}": getter for leaf, getter in table}
 
 
 def register_topology_metrics(registry: MetricsRegistry, topology: "Topology") -> None:
@@ -282,9 +306,9 @@ def register_topology_metrics(registry: MetricsRegistry, topology: "Topology") -
     """
     for site in topology.sites:
         base = f"site.{site.name}"
-        register_gauges(registry, base, site, SITE_GAUGES)
+        registry.gauges(base, site, SITE_GAUGES)
         for index, disk in enumerate(site.disks):
-            register_gauges(registry, f"{base}.disk{index}", disk, DISK_GAUGES)
+            registry.gauges(f"{base}.disk{index}", disk, DISK_GAUGES)
         if site.is_client:
-            register_gauges(registry, base, site, CLIENT_GAUGES)
-    register_gauges(registry, "network", topology.network, NETWORK_GAUGES)
+            registry.gauges(base, site, CLIENT_GAUGES)
+    registry.gauges("network", topology.network, NETWORK_GAUGES)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import random
+import typing
 
 from repro.errors import OptimizationError
 from repro.plans.annotations import Annotation
@@ -35,6 +36,7 @@ __all__ = [
     "random_join_tree",
     "rehome_scans",
     "repair_annotations",
+    "replace_node",
 ]
 
 
@@ -187,7 +189,7 @@ def repair_annotations(root: DisplayOp, policy: Policy, rng: random.Random) -> D
             replacement = child.with_annotation(
                 rng.choice(sorted(options, key=lambda a: a.value))
             )
-            root = _replace_once(root, child, replacement)
+            root = replace_node(root, child, replacement)
             continue
         pinned = isinstance(parent, UdfFilterOp) and parent.udf.site != "auto"
         if isinstance(parent, UNARY_STREAM_OPS) and not pinned:
@@ -200,27 +202,55 @@ def repair_annotations(root: DisplayOp, policy: Policy, rng: random.Random) -> D
                 replacement = parent.with_annotation(
                     rng.choice(sorted(parent_options, key=lambda a: a.value))
                 )
-                root = _replace_once(root, parent, replacement)
+                root = replace_node(root, parent, replacement)
                 continue
         raise OptimizationError(f"cannot repair cycle at {child.kind}")
     raise OptimizationError("annotation repair did not converge")
 
 
-def _replace_once(root: DisplayOp, target: PlanOp, replacement: PlanOp) -> DisplayOp:
-    """Rebuild the tree with ``target`` (by identity) swapped out."""
+def replace_node(root: DisplayOp, target: PlanOp, replacement: PlanOp) -> DisplayOp:
+    """Copy of the tree with ``target`` (matched by identity) replaced.
 
-    def rebuild(op: PlanOp) -> PlanOp:
+    Only the operators on the path from the root down to ``target`` are
+    copied; every other subtree is shared with ``root``.  Plan operators
+    are immutable, so sharing is safe, and the result is structurally
+    identical to a full copy.  A tree without ``target`` comes back as is.
+    """
+    path: list[PlanOp] = []
+    stack: list[tuple[PlanOp, int]] = [(root, 0)]
+    while stack:
+        op, depth = stack.pop()
+        del path[depth:]
+        path.append(op)
         if op is target:
-            return replacement
-        if isinstance(op, UNARY_STREAM_OPS):
-            return op.with_child(rebuild(op.child))
-        if isinstance(op, JoinOp):
-            return op.with_children(rebuild(op.inner), rebuild(op.outer))
-        return op
+            break
+        stack.extend((child, depth + 1) for child in reversed(op.children))
+    else:
+        return root
+    node = replacement
+    for depth in range(len(path) - 2, -1, -1):
+        parent = path[depth]
+        if isinstance(parent, JoinOp):
+            if parent.inner is path[depth + 1]:
+                node = parent.with_children(node, parent.outer)
+            else:
+                node = parent.with_children(parent.inner, node)
+        else:
+            assert isinstance(parent, UNARY_STREAM_OPS)
+            node = parent.with_child(node)
+    assert isinstance(node, DisplayOp)
+    return node
 
-    new_root = rebuild(root)
-    assert isinstance(new_root, DisplayOp)
-    return new_root
+
+def _rewrite_scans(
+    root: DisplayOp, rewrite: typing.Callable[[ScanOp], ScanOp]
+) -> DisplayOp:
+    """The tree with every scan replaced by ``rewrite(scan)``."""
+    for scan in [op for op in root.walk() if isinstance(op, ScanOp)]:
+        new = rewrite(scan)
+        if new is not scan:
+            root = replace_node(root, scan, new)
+    return root
 
 
 def force_client_scans(root: DisplayOp, relations: frozenset[str]) -> DisplayOp:
@@ -230,23 +260,14 @@ def force_client_scans(root: DisplayOp, relations: frozenset[str]) -> DisplayOp:
     primary copy is unreachable can only be read from the client's cached
     prefix, so its scan annotation is forced to ``client``.
     """
-    if not relations:
-        return root
-
-    def rebuild(op: PlanOp) -> PlanOp:
-        if isinstance(op, ScanOp):
-            if op.relation in relations and op.annotation is not Annotation.CLIENT:
-                return op.with_annotation(Annotation.CLIENT)
-            return op
-        if isinstance(op, UNARY_STREAM_OPS):
-            return op.with_child(rebuild(op.child))
-        if isinstance(op, JoinOp):
-            return op.with_children(rebuild(op.inner), rebuild(op.outer))
-        return op
-
-    new_root = rebuild(root)
-    assert isinstance(new_root, DisplayOp)
-    return new_root
+    return _rewrite_scans(
+        root,
+        lambda op: (
+            op.with_annotation(Annotation.CLIENT)
+            if op.relation in relations and op.annotation is not Annotation.CLIENT
+            else op
+        ),
+    )
 
 
 def rehome_scans(root: DisplayOp, homes: "dict[str, int | None]") -> DisplayOp:
@@ -256,23 +277,14 @@ def rehome_scans(root: DisplayOp, homes: "dict[str, int | None]") -> DisplayOp:
     the primary).  Used by fault recovery to fail a mid-query scan over onto
     a surviving replica without changing the rest of the plan.
     """
-    if not homes:
-        return root
-
-    def rebuild(op: PlanOp) -> PlanOp:
-        if isinstance(op, ScanOp):
-            if op.relation in homes and op.home != homes[op.relation]:
-                return op.with_home(homes[op.relation])
-            return op
-        if isinstance(op, UNARY_STREAM_OPS):
-            return op.with_child(rebuild(op.child))
-        if isinstance(op, JoinOp):
-            return op.with_children(rebuild(op.inner), rebuild(op.outer))
-        return op
-
-    new_root = rebuild(root)
-    assert isinstance(new_root, DisplayOp)
-    return new_root
+    return _rewrite_scans(
+        root,
+        lambda op: (
+            op.with_home(homes[op.relation])
+            if op.relation in homes and op.home != homes[op.relation]
+            else op
+        ),
+    )
 
 
 def random_plan(

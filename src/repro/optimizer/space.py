@@ -25,11 +25,15 @@ import functools
 import random
 import typing
 
-from repro.optimizer.random_plans import PlanShape, is_deep, repair_annotations
+from repro.optimizer.random_plans import (
+    PlanShape,
+    is_deep,
+    repair_annotations,
+    replace_node,
+)
 from repro.plans.annotations import Annotation
 from repro.plans.logical import Query
 from repro.plans.operators import (
-    UNARY_STREAM_OPS,
     AggregateOp,
     DisplayOp,
     JoinOp,
@@ -59,23 +63,6 @@ def has_cartesian_join(root: PlanOp, query: Query) -> bool:
         ):
             return True
     return False
-
-
-def _rebuild(root: DisplayOp, target: PlanOp, replacement: PlanOp) -> DisplayOp:
-    """Copy of the tree with ``target`` (matched by identity) replaced."""
-
-    def visit(op: PlanOp) -> PlanOp:
-        if op is target:
-            return replacement
-        if isinstance(op, UNARY_STREAM_OPS):
-            return op.with_child(visit(op.child))
-        if isinstance(op, JoinOp):
-            return op.with_children(visit(op.inner), visit(op.outer))
-        return op
-
-    result = visit(root)
-    assert isinstance(result, DisplayOp)
-    return result
 
 
 def _reorder_candidates(root: DisplayOp) -> list[tuple[int, JoinOp]]:
@@ -237,7 +224,7 @@ def random_neighbor(
         kind, payload = candidates[rng.randrange(len(candidates))]
         if kind == "reorder":
             move, join = payload  # type: ignore[misc]
-            new_root = _rebuild(root, join, _apply_reorder(move, join))
+            new_root = replace_node(root, join, _apply_reorder(move, join))
             if root_has_cartesian is None:
                 root_has_cartesian = has_cartesian_join(root, query)
             if shape is PlanShape.DEEP and not is_deep(new_root.child):
@@ -247,9 +234,9 @@ def random_neighbor(
         elif kind == "rehome":
             op, home = payload  # type: ignore[misc]
             assert isinstance(op, ScanOp)
-            new_root = _rebuild(root, op, op.with_home(home))
+            new_root = replace_node(root, op, op.with_home(home))
         else:
             op, annotation = payload  # type: ignore[misc]
-            new_root = _rebuild(root, op, op.with_annotation(annotation))
+            new_root = replace_node(root, op, op.with_annotation(annotation))
         return repair_annotations(new_root, policy, rng)
     return None

@@ -145,6 +145,22 @@ class Process(Event):
         else:
             target.callbacks.append(self._resume)
 
+    def _close(self) -> None:
+        """End this process where it stands (see :meth:`Environment.close`).
+
+        The process counts as finished without a value, forgets the event
+        it waited on (and unhooks from it), and its generator is closed, so
+        its pending ``finally`` blocks run and its frame is freed.
+        """
+        waiting = self._waiting_on
+        self._waiting_on = None
+        if isinstance(waiting, Event) and self._resume in waiting.callbacks:
+            waiting.callbacks.remove(self._resume)
+        self._triggered = self._processed = True
+        self.callbacks = []
+        self.env.active_process = self
+        self.generator.close()
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name!r} {'done' if self._triggered else 'alive'}>"
 
@@ -198,8 +214,11 @@ class Environment:
         # Registered by components whose waits only they can end, e.g.
         # the per-site memory brokers.
         self.stall_handlers: list[typing.Callable[[], bool]] = []
+        self._closed = False
 
     def _register_process(self, process: Process) -> None:
+        if self._closed:
+            raise SimulationError(f"cannot start process {process.name!r}: environment is closed")
         refs = self._processes
         if len(refs) >= self._compact_at:
             # Compact dead weakrefs so a long workload (hundreds of
@@ -235,6 +254,8 @@ class Environment:
             raise SimulationError(
                 f"cannot schedule event: delay must be finite and non-negative (delay={delay})"
             )
+        if self._closed:
+            raise SimulationError("cannot schedule event: environment is closed")
         seq = self._sequence = self._sequence + 1
         _heappush(self._queue, (self._now + delay, seq, event))
 
@@ -287,6 +308,8 @@ class Environment:
         # (4 = raw sleep), deque entries on ``trigger is None`` (zero-delay
         # event).  One method call per event is measurable at hundreds of
         # thousands of events per run, so the loops pay for the duplication.
+        if self._closed:
+            raise SimulationError("cannot run a closed environment")
         queue = self._queue
         immediate = self._immediate
         heappop = heapq.heappop
@@ -390,6 +413,39 @@ class Environment:
             if text:
                 lines.append("  " + text.replace("\n", "\n  "))
         return "\n".join(lines)
+
+    def close(self) -> None:
+        """Free the simulated system once its results are collected.
+
+        A finished run still has live processes: the disks' service loops,
+        load generators and a telemetry sampler wait forever, and each
+        waiting process and the event it waits on reference each other.
+        Together with the hooks components register here, those cycles
+        would keep every device of the run resident until a full cyclic
+        GC pass.  ``close`` ends every live process (running its pending
+        ``finally`` blocks), drops every pending event, and clears the
+        tracer, the diagnostic hooks and the active process, so the whole
+        system is freed by refcounting as soon as its last user lets go.
+        Devices and their counters stay readable.
+
+        Idempotent.  Afterwards :meth:`process`, :meth:`schedule` and
+        :meth:`run` raise :class:`SimulationError`.  Must not be called
+        from inside a process.
+        """
+        if self._closed:
+            return
+        # A finally block may start another process; close those too.
+        while alive := self.alive_processes():
+            for process in alive:
+                process._close()
+        self._closed = True
+        self._queue.clear()
+        self._immediate.clear()
+        self._processes.clear()
+        self.active_process = None
+        self.tracer = None
+        self.debug_dumpers.clear()
+        self.stall_handlers.clear()
 
     def run_all(self, limit: float | None = None) -> None:
         """Run until the queue drains (or ``limit`` is reached, if given)."""

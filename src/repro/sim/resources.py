@@ -117,7 +117,9 @@ class Resource:
             if monitor._busy_since is None:
                 monitor._busy_since = self.env._now
         self._in_service.add(req)
-        req.succeed(req)
+        # No value: a request delivering itself would reference itself,
+        # and every grant would leave a cycle behind.
+        req.succeed()
 
     def serve(self, duration: float) -> typing.Generator[typing.Any, None, None]:
         """Hold the single server for ``duration``, FIFO behind earlier holds.

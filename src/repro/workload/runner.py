@@ -32,7 +32,6 @@ from repro.engine.executor import QueryExecutor, Session, SessionResult
 from repro.errors import ConfigurationError
 from repro.hardware.site import client_site_id
 from repro.hardware.topology import Topology
-from repro.obs.metrics import register_gauges
 from repro.optimizer.cache import PlanCache
 from repro.optimizer.two_phase import RandomizedOptimizer
 from repro.plans.operators import DisplayOp
@@ -231,8 +230,8 @@ class WorkloadRunner:
             # Queue-depth gauges: zero-cost occupancy reads, so admission
             # pressure shows up in profiles and telemetry series.
             for sid in sorted(controllers):
-                register_gauges(
-                    topology.metrics, f"admission.server{sid}", controllers[sid], ADMISSION_GAUGES
+                topology.metrics.gauges(
+                    f"admission.server{sid}", controllers[sid], ADMISSION_GAUGES
                 )
         sampler = None
         if self.telemetry is not None:
@@ -296,12 +295,12 @@ class WorkloadRunner:
         # finished ExecutionContext its operator list, and a fired AnyOf
         # its hooks on the children still pending, for this reason.  The
         # broker and buffer-cache histories are fixed-size digests, not
-        # per-event lists.  One collection before the pause frees the previous
-        # run's topology, which is cyclic, before this run grows beside it;
-        # one after frees this run's.
+        # per-event lists.  The system itself is freed the same way:
+        # ``env.close()`` below ends the processes that would otherwise keep
+        # it in a cycle, so no collection is needed before a run.  One after
+        # the run frees whatever the paused collector let pile up.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
-            gc.collect()
             gc.disable()
         try:
             env.run(until=env.process(main(), name="workload-driver"))
@@ -329,7 +328,7 @@ class WorkloadRunner:
             for site in topology.sites
             for disk in site.disks
         }
-        return WorkloadResult.from_sessions(
+        result = WorkloadResult.from_sessions(
             sessions,
             policy=self.policy.value,
             num_clients=self.num_clients,
@@ -344,3 +343,5 @@ class WorkloadRunner:
             profile=topology.metrics.snapshot(),
             telemetry=None if sampler is None else sampler.snapshot(),
         )
+        env.close()
+        return result

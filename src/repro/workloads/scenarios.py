@@ -97,7 +97,10 @@ class Scenario:
             plan_cache=plan_cache,
             telemetry=telemetry,
         )
-        return executor.execute(plan)
+        try:
+            return executor.execute(plan)
+        finally:
+            executor.close()
 
 
 def chain_scenario(

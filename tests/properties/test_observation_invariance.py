@@ -16,7 +16,8 @@ pin that single path down:
 
 The contended 64-client sweep is pinned by the throughput-sweep golden
 (``benchmarks/results/throughput-sweep-quick-64.txt``) instead: it takes
-over a minute per run.
+over a minute per run.  Its point at 16 clients (static caches, zero
+think time) is checked traced against untraced for every policy.
 """
 
 import functools
@@ -182,6 +183,29 @@ def test_observation_does_not_perturb_closed_workload():
     assert plain.completed == plain.submitted
     assert _closed_workload(tracer=Tracer()) == plain
     assert _closed_workload(faults=FaultSchedule()) == plain
+
+
+def _sweep_point(policy, tracer=None):
+    """The throughput sweep's point at 16 clients (see ``throughput_sweep``)."""
+    return WorkloadRunner(
+        _two_way(0.75)(placement_seed=SEED),
+        policy,
+        num_clients=16,
+        stream=StreamConfig(arrival="closed", think_time=0.0, queries_per_client=3),
+        admission=AdmissionConfig(max_concurrent=4, queue_limit=64),
+        seed=SEED,
+        cache="static",
+        tracer=tracer,
+    ).run()
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.short_name)
+def test_tracing_does_not_perturb_throughput_sweep_point(policy):
+    plain = _sweep_point(policy)
+    assert plain.completed == plain.submitted == 48
+    tracer = Tracer()
+    assert _sweep_point(policy, tracer) == plain
+    assert tracer.spans
 
 
 def test_contended_workload_logs_broker_history():

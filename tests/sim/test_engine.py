@@ -332,3 +332,76 @@ class TestProcessRegistryCompaction:
             env.run()
             gc.collect()
         assert keeper in env.alive_processes()
+
+
+class TestClose:
+    """``close`` frees a finished simulation: every live process ends."""
+
+    def test_close_runs_pending_finally_blocks(self, env):
+        unwound = []
+        pending = Event(env)
+
+        def waiter(name, event):
+            try:
+                yield event
+            finally:
+                unwound.append(name)
+
+        def sleeper():
+            try:
+                yield 5.0
+            finally:
+                unwound.append("sleeper")
+
+        first = env.process(waiter("first", pending), name="first")
+        env.process(waiter("second", first), name="second")
+        env.process(sleeper(), name="sleeper")
+        env.run(until=1.0)
+        env.close()
+        assert sorted(unwound) == ["first", "second", "sleeper"]
+        assert env.alive_processes() == []
+        assert not first.is_alive
+        assert pending.callbacks == []
+        assert env.peek() == float("inf")
+
+    def test_close_is_idempotent(self, env):
+        unwound = []
+
+        def waiter():
+            try:
+                yield Event(env)
+            finally:
+                unwound.append(1)
+
+        env.process(waiter())
+        env.run(until=1.0)
+        env.close()
+        env.close()
+        assert unwound == [1]
+
+    def test_close_clears_hooks_and_keeps_the_clock(self, env):
+        env.debug_dumpers.append(lambda: "")
+        env.stall_handlers.append(lambda: False)
+        Timeout(env, 3.0)
+        env.run(until=2.0)
+        env.close()
+        assert env.debug_dumpers == [] and env.stall_handlers == []
+        assert env.active_process is None and env.tracer is None
+        assert env.now == 2.0
+
+    def test_closed_environment_rejects_new_work(self, env):
+        env.close()
+
+        def quick():
+            yield 0.0
+
+        generator = quick()
+        with pytest.raises(SimulationError, match="closed"):
+            env.process(generator)
+        generator.close()
+        with pytest.raises(SimulationError, match="closed"):
+            env.schedule(Event(env))
+        with pytest.raises(SimulationError, match="closed"):
+            env.run()
+        with pytest.raises(SimulationError, match="closed"):
+            env.run(until=5.0)
