@@ -11,7 +11,10 @@ configuration (incremental cost model plus a shared
 :class:`~repro.optimizer.PlanCache`) costs only changed subtrees on
 pass one and answers pass two from the cache.  Both configurations
 must pick bit-identical plans; the optimized one must be at least 5x
-faster and touch at least 30 % fewer cost-model nodes.
+faster and touch at least 30 % fewer cost-model nodes.  Each
+configuration's wall clock is the fastest of three identical runs.
+(The figure code itself reuses plans only within one grid point; the
+second pass measures what a cache kept across a sweep can answer.)
 
 Also measured: the plan-cache hit rate on a multi-client workload (hybrid
 runs reuse the pure-policy passes already planned for DS/QS), and serial
@@ -75,18 +78,29 @@ def _optimization_sweep(cache, incremental):
     return plans, evaluations, node_visits
 
 
-def _timed_sweep(cache, incremental):
-    start = time.perf_counter()
-    plans = []
-    evaluations = 0
-    node_visits = 0
-    for _ in range(2):  # the figure suite revisits its grid points
-        pass_plans, pass_evals, pass_visits = _optimization_sweep(cache, incremental)
-        plans.extend(pass_plans)
-        evaluations += pass_evals
-        node_visits += pass_visits
-    elapsed = time.perf_counter() - start
-    return plans, {
+def _timed_sweep(cached, incremental, runs=3):
+    """Both passes, ``runs`` times over; the wall clock is the fastest run.
+
+    Each run starts from a fresh :class:`~repro.optimizer.PlanCache` (when
+    ``cached``), so every run does the same work and counts the same
+    evaluations, visits and cache hits; the minimum drops the noise a
+    shared host adds to any single run.  Returns the last run's plans and
+    cache.
+    """
+    elapsed = float("inf")
+    for _ in range(runs):
+        cache = PlanCache() if cached else None
+        start = time.perf_counter()
+        plans = []
+        evaluations = 0
+        node_visits = 0
+        for _ in range(2):  # the figure suite revisits its grid points
+            pass_plans, pass_evals, pass_visits = _optimization_sweep(cache, incremental)
+            plans.extend(pass_plans)
+            evaluations += pass_evals
+            node_visits += pass_visits
+        elapsed = min(elapsed, time.perf_counter() - start)
+    return plans, cache, {
         "wall_clock_s": round(elapsed, 4),
         "evaluations": evaluations,
         "evals_per_sec": round(evaluations / elapsed, 1),
@@ -107,11 +121,10 @@ def _workload_cache_stats():
 
 
 def test_optimizer_throughput(benchmark, results_dir):
-    baseline_plans, baseline = _timed_sweep(None, incremental=False)
+    baseline_plans, _, baseline = _timed_sweep(cached=False, incremental=False)
 
-    cache = PlanCache()
-    optimized_plans, optimized = benchmark.pedantic(
-        lambda: _timed_sweep(cache, incremental=True), rounds=1, iterations=1
+    optimized_plans, cache, optimized = benchmark.pedantic(
+        lambda: _timed_sweep(cached=True, incremental=True), rounds=1, iterations=1
     )
     optimized["cache"] = {
         "hits": cache.stats.hits,

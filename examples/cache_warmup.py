@@ -53,7 +53,6 @@ def plans_across_cache_states() -> None:
             policy=Policy.HYBRID_SHIPPING,
             objective=Objective.PAGES_SENT,
             seed=3,
-            cache_digest=state.digest(),
         ).optimize().plan
         print(f"\n--- {resident}/{RELATION_PAGES} pages of each relation resident ---")
         print(api.explain(plan, scenario))

@@ -27,7 +27,6 @@ from repro.faults.recovery import RecoveryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.obs import Tracer, write_chrome_trace
 from repro.obs.telemetry import TelemetryConfig
-from repro.optimizer.cache import PlanCache
 from repro.optimizer.two_phase import optimize
 from repro.plans.binding import bind_plan
 from repro.plans.logical import UDF_SITES
@@ -147,6 +146,29 @@ def _resolve_telemetry(
     return None
 
 
+def _finish_trace(
+    tracer: Tracer | None,
+    path: str | None,
+    result: "ExecutionResult | WorkloadResult | None",
+    **metadata: object,
+) -> None:
+    """Close ``tracer`` and write it to ``path``, also after a failed run.
+
+    A successful run finishes its trace inside the executor; this covers
+    aborted runs, so the spans recorded so far are still closed and
+    exported.  ``metadata`` fills keys the run did not set itself.
+    """
+    if tracer is None:
+        return
+    tracer.finish()
+    for key, value in metadata.items():
+        tracer.metadata.setdefault(key, value)
+    if path is not None:
+        write_chrome_trace(
+            tracer, path, telemetry=result.telemetry if result is not None else None
+        )
+
+
 @dataclass
 class QueryOutcome:
     """Everything produced by one optimize-and-execute round trip."""
@@ -160,6 +182,48 @@ class QueryOutcome:
     #: for one (export with :func:`repro.obs.chrome_trace_json` or
     #: :func:`repro.obs.render_timeline`).
     trace: Tracer | None = None
+
+
+def _optimize_and_run(
+    scenario: Scenario,
+    policy: Policy,
+    objective: Objective,
+    optimizer: OptimizerConfig | None,
+    seed: int,
+    trace: "bool | str | Tracer",
+    telemetry: "bool | float | TelemetryConfig",
+    faults: FaultSchedule | None = None,
+    recovery: RecoveryPolicy | None = None,
+) -> QueryOutcome:
+    """Optimize ``scenario``'s query under ``policy``; simulate the plan once."""
+    optimizer_config = optimizer or OptimizerConfig.fast()
+    optimization = optimize(
+        scenario.query,
+        scenario.environment(),
+        policy=policy,
+        objective=objective,
+        config=optimizer_config,
+        seed=seed,
+    )
+    tracer, trace_path = _resolve_trace(trace)
+    result = None
+    try:
+        result = scenario.execute(
+            optimization.plan,
+            seed=seed,
+            faults=faults,
+            recovery=recovery,
+            policy=policy,
+            objective=objective,
+            optimizer_config=optimizer_config,
+            tracer=tracer,
+            telemetry=_resolve_telemetry(telemetry),
+        )
+    finally:
+        _finish_trace(tracer, trace_path, result, policy=policy.value, seed=seed)
+    return QueryOutcome(
+        scenario, policy, optimization.plan, optimization.cost, result, trace=tracer
+    )
 
 
 def run_query(
@@ -177,7 +241,6 @@ def run_query(
     recovery: RecoveryPolicy | None = None,
     trace: "bool | str | Tracer" = False,
     telemetry: "bool | float | TelemetryConfig" = False,
-    plan_cache: PlanCache | None = None,
     memory: "MemoryConfig | str | None" = None,
     server_memory_pages: int | None = None,
 ) -> QueryOutcome:
@@ -207,12 +270,6 @@ def run_query(
     ``telemetry`` are on, the exported Chrome trace carries the series as
     counter tracks.
 
-    ``plan_cache`` memoizes the optimization (and any mid-run replans):
-    pass one :class:`~repro.optimizer.PlanCache` across calls that share an
-    environment and repeated queries are planned once.  Caching never
-    changes the chosen plan -- a hit returns exactly what the optimizer
-    would have recomputed.
-
     ``memory`` selects the join-memory model (see
     :class:`~repro.config.MemoryConfig`): ``None`` or ``"static"`` is the
     paper's plan-time allocation (a join that cannot get its full
@@ -226,7 +283,6 @@ def run_query(
         allocation = BufferAllocation(allocation)
     parsed_policy = _parse_policy(policy)
     parsed_objective = _parse_objective(objective)
-    optimizer_config = optimizer or OptimizerConfig.fast()
     scenario = chain_scenario(
         num_relations=num_relations,
         num_servers=num_servers,
@@ -237,46 +293,16 @@ def run_query(
         server_load=server_load,
         config=_parse_memory(memory, server_memory_pages),
     )
-    optimization = optimize(
-        scenario.query,
-        scenario.environment(),
-        policy=parsed_policy,
-        objective=parsed_objective,
-        config=optimizer_config,
-        seed=seed,
-        plan_cache=plan_cache,
-    )
-    tracer, trace_path = _resolve_trace(trace)
-    result = None
-    try:
-        result = scenario.execute(
-            optimization.plan,
-            seed=seed,
-            faults=faults,
-            recovery=recovery,
-            policy=parsed_policy,
-            objective=parsed_objective,
-            optimizer_config=optimizer_config,
-            tracer=tracer,
-            plan_cache=plan_cache,
-            telemetry=_resolve_telemetry(telemetry),
-        )
-    finally:
-        # The success path finishes the trace inside the executor; this
-        # covers aborted runs so the spans recorded so far are still
-        # closed and exported.
-        if tracer is not None:
-            tracer.finish()
-            tracer.metadata.setdefault("policy", parsed_policy.value)
-            tracer.metadata.setdefault("seed", seed)
-            if trace_path is not None:
-                write_chrome_trace(
-                    tracer,
-                    trace_path,
-                    telemetry=result.telemetry if result is not None else None,
-                )
-    return QueryOutcome(
-        scenario, parsed_policy, optimization.plan, optimization.cost, result, trace=tracer
+    return _optimize_and_run(
+        scenario,
+        parsed_policy,
+        parsed_objective,
+        optimizer,
+        seed,
+        trace,
+        telemetry,
+        faults=faults,
+        recovery=recovery,
     )
 
 
@@ -291,7 +317,6 @@ def run_sql(
     tables: "dict[str, int] | None" = None,
     udf_site: "str | None" = None,
     optimizer: OptimizerConfig | None = None,
-    plan_cache: PlanCache | None = None,
     trace: "bool | str | Tracer" = False,
     telemetry: "bool | float | TelemetryConfig" = False,
 ) -> QueryOutcome:
@@ -313,15 +338,14 @@ def run_sql(
     ``udf_site`` overrides the evaluation-site declaration of *every* UDF
     in the statement (``"client"``, ``"server"``, or ``"auto"``) -- the
     knob the function-shipping experiment sweeps to compare forced
-    placements against the optimizer's choice.  ``trace``, ``telemetry``,
-    and ``plan_cache`` work as in :func:`run_query`.
+    placements against the optimizer's choice.  ``trace`` and
+    ``telemetry`` work as in :func:`run_query`.
 
     Raises :class:`~repro.errors.SqlError` (with the offending line and
     column) for text the frontend rejects.
     """
     parsed_policy = _parse_policy(policy)
     parsed_objective = _parse_objective(objective)
-    optimizer_config = optimizer or OptimizerConfig.fast()
     scenario = sql_scenario(
         sql,
         num_servers=num_servers,
@@ -341,41 +365,14 @@ def run_sql(
                 _dc_replace(udf, site=udf_site) for udf in scenario.query.udfs
             ),
         )
-    optimization = optimize(
-        scenario.query,
-        scenario.environment(),
-        policy=parsed_policy,
-        objective=parsed_objective,
-        config=optimizer_config,
-        seed=seed,
-        plan_cache=plan_cache,
-    )
-    tracer, trace_path = _resolve_trace(trace)
-    result = None
-    try:
-        result = scenario.execute(
-            optimization.plan,
-            seed=seed,
-            policy=parsed_policy,
-            objective=parsed_objective,
-            optimizer_config=optimizer_config,
-            tracer=tracer,
-            plan_cache=plan_cache,
-            telemetry=_resolve_telemetry(telemetry),
-        )
-    finally:
-        if tracer is not None:
-            tracer.finish()
-            tracer.metadata.setdefault("policy", parsed_policy.value)
-            tracer.metadata.setdefault("seed", seed)
-            if trace_path is not None:
-                write_chrome_trace(
-                    tracer,
-                    trace_path,
-                    telemetry=result.telemetry if result is not None else None,
-                )
-    return QueryOutcome(
-        scenario, parsed_policy, optimization.plan, optimization.cost, result, trace=tracer
+    return _optimize_and_run(
+        scenario,
+        parsed_policy,
+        parsed_objective,
+        optimizer,
+        seed,
+        trace,
+        telemetry,
     )
 
 
@@ -403,7 +400,6 @@ def run_workload(
     recovery: RecoveryPolicy | None = None,
     trace: "bool | str | Tracer" = False,
     telemetry: "bool | float | TelemetryConfig" = False,
-    plan_cache: PlanCache | None = None,
     cache: "CacheConfig | str | None" = None,
     memory: "MemoryConfig | str | None" = None,
     server_memory_pages: int | None = None,
@@ -434,9 +430,7 @@ def run_workload(
     ``telemetry`` works as in :func:`run_query`; the sampled series (which
     under a workload additionally cover per-server admission queue depth
     and running-query occupancy) land on the result's ``telemetry`` field.
-    ``plan_cache`` works as in :func:`run_query`: clients sharing a cache
-    view plan their query class once, and the same cache can be reused
-    across workload runs over the same environment.
+    Clients sharing a cache view plan their query class once per run.
 
     ``cache`` selects the client caching model (see
     :class:`~repro.workload.WorkloadRunner`): ``None`` or ``"dynamic"``
@@ -509,20 +503,12 @@ def run_workload(
             recovery=recovery,
             client_caches=client_caches,
             tracer=tracer,
-            plan_cache=plan_cache,
             cache=cache,
             consistency=consistency,
             telemetry=_resolve_telemetry(telemetry),
         ).run()
     finally:
-        if tracer is not None:
-            tracer.finish()
-            if trace_path is not None:
-                write_chrome_trace(
-                    tracer,
-                    trace_path,
-                    telemetry=result.telemetry if result is not None else None,
-                )
+        _finish_trace(tracer, trace_path, result)
     return result
 
 

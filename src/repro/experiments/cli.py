@@ -20,7 +20,6 @@ from repro.config import OptimizerConfig
 from repro.experiments import figures
 from repro.experiments.report import render_figure
 from repro.experiments.runner import RunSettings
-from repro.optimizer.cache import PlanCache
 
 __all__ = ["main"]
 
@@ -155,25 +154,14 @@ def _build_parser() -> argparse.ArgumentParser:
             "output is byte-identical to a serial run"
         ),
     )
-    parser.add_argument(
-        "--no-plan-cache", action="store_true",
-        help=(
-            "disable the shared optimizer plan cache (enabled by default; "
-            "caching reuses identical optimizations across sweep points "
-            "without changing any chosen plan)"
-        ),
-    )
     return parser
 
 
 def _settings(args: argparse.Namespace) -> RunSettings:
     optimizer = OptimizerConfig.paper() if args.paper else OptimizerConfig.fast()
-    plan_cache = None if args.no_plan_cache else PlanCache()
-    settings = RunSettings(optimizer=optimizer, plan_cache=plan_cache)
+    settings = RunSettings(optimizer=optimizer)
     if args.seeds:
-        settings = RunSettings(
-            seeds=tuple(args.seeds), optimizer=optimizer, plan_cache=plan_cache
-        )
+        settings = RunSettings(seeds=tuple(args.seeds), optimizer=optimizer)
     elif args.quick:
         settings = settings.quick()
     return settings

@@ -23,6 +23,7 @@ from repro.experiments.stats import PointEstimate, summarize
 from repro.faults.recovery import RecoveryPolicy
 from repro.faults.schedule import FaultSchedule
 from repro.obs.telemetry import TelemetryConfig
+from repro.optimizer.cache import PlanCache
 from repro.optimizer.random_plans import PlanShape
 from repro.optimizer.two_phase import optimize
 from repro.optimizer.two_step import TwoStepOptimizer
@@ -192,6 +193,7 @@ def _best_plan(
     objective: Objective,
     settings: RunSettings,
     seed: int,
+    cache: PlanCache | None = None,
 ) -> DisplayOp:
     """The plan 2PO picks for ``scenario`` under its true state."""
     return optimize(
@@ -201,7 +203,8 @@ def _best_plan(
         objective,
         settings.optimizer,
         seed,
-        plan_cache=settings.plan_cache,
+        PlanShape.ANY,
+        cache,
     ).plan
 
 
@@ -209,21 +212,27 @@ def _measure_point(
     seed: int,
     *,
     scenario: typing.Callable[..., Scenario],
-    policy: Policy,
+    runs: tuple[tuple[Policy, tuple[tuple[str, str], ...]], ...],
     objective: Objective,
     settings: RunSettings,
     x: float,
-    series: tuple[tuple[str, str], ...],
 ) -> list[Sample]:
-    """Optimize under the scenario's true state and simulate one seed.
+    """Optimize each policy under the scenario's true state; simulate one seed.
 
-    ``series`` pairs each output label with the ``ExecutionResult``
-    attribute it reports (``"response_time"`` or ``"pages_sent"``).
+    ``runs`` pairs each policy with its series: each output label with
+    the ``ExecutionResult`` attribute it reports (``"response_time"`` or
+    ``"pages_sent"``).  All policies of the point share one plan cache,
+    so hybrid's pure data- and query-shipping passes reuse the
+    standalone optimizations of the same seed when those come first.
     """
     built = scenario(placement_seed=seed)
-    plan = _best_plan(built, policy, objective, settings, seed)
-    run = built.execute(plan, seed=seed)
-    return [(label, x, float(getattr(run, metric))) for label, metric in series]
+    cache = PlanCache()
+    samples = []
+    for policy, series in runs:
+        plan = _best_plan(built, policy, objective, settings, seed, cache)
+        run = built.execute(plan, seed=seed)
+        samples.extend((label, x, float(getattr(run, metric))) for label, metric in series)
+    return samples
 
 
 def _policy_sweep(
@@ -235,18 +244,17 @@ def _policy_sweep(
     jobs: int,
 ) -> FigureResult:
     """One ``metric`` series per policy over ``(x, scenario factory)`` points."""
+    runs = tuple((policy, ((policy.short_name, metric),)) for policy in POLICIES)
     points = [
         functools.partial(
             _measure_point,
             scenario=scenario,
-            policy=policy,
+            runs=runs,
             objective=objective,
             settings=settings,
             x=x,
-            series=((policy.short_name, metric),),
         )
         for x, scenario in grid
-        for policy in POLICIES
     ]
     return _sweep(result, points, settings.seeds, jobs)
 
@@ -339,11 +347,10 @@ def figure4(
         functools.partial(
             _measure_point,
             scenario=_two_way(fraction, server_load=load),
-            policy=Policy.DATA_SHIPPING,
+            runs=((Policy.DATA_SHIPPING, ((f"{load:.0f} req/sec", "response_time"),)),),
             objective=Objective.RESPONSE_TIME,
             settings=settings,
             x=fraction * 100.0,
-            series=((f"{load:.0f} req/sec", "response_time"),),
         )
         for load in loads
         for fraction in cache_fractions
@@ -372,11 +379,10 @@ def qs_under_load_text(
         functools.partial(
             _measure_point,
             scenario=_two_way(0.0, server_load=load),
-            policy=Policy.QUERY_SHIPPING,
+            runs=((Policy.QUERY_SHIPPING, (("QS", "response_time"),)),),
             objective=Objective.RESPONSE_TIME,
             settings=settings,
             x=load,
-            series=(("QS", "response_time"),),
         )
         for load in loads
     ]
@@ -520,7 +526,6 @@ def _throughput_point(
         admission=admission,
         seed=seed,
         optimizer_config=settings.optimizer,
-        plan_cache=settings.plan_cache,
         # Pinned to the paper's static-prefix model: this sweep's
         # published shape assumes the cached fraction stays fixed.
         cache="static",
@@ -686,7 +691,6 @@ def _write_mix_point(
         ),
         seed=seed,
         optimizer_config=settings.optimizer,
-        plan_cache=settings.plan_cache,
         # Dynamic client caches: the part of the system the consistency
         # protocol exists to keep correct.
         cache="dynamic",
@@ -809,11 +813,15 @@ def function_shipping(
             scenario=functools.partial(
                 sql_scenario, _FUNCTION_SHIPPING_SQL.format(cost=cost, at=at)
             ),
-            policy=Policy.QUERY_SHIPPING,
+            runs=(
+                (
+                    Policy.QUERY_SHIPPING,
+                    ((label, "response_time"), (f"pages {label}", "pages_sent")),
+                ),
+            ),
             objective=Objective.RESPONSE_TIME,
             settings=settings,
             x=cost,
-            series=((label, "response_time"), (f"pages {label}", "pages_sent")),
         )
         for label, at in _FUNCTION_SHIPPING_ARMS
         for cost in udf_costs
@@ -851,7 +859,6 @@ def _memory_contention_point(
         stream=stream,
         seed=seed,
         optimizer_config=settings.optimizer,
-        plan_cache=settings.plan_cache,
         # Single attempts: a memory-shed query fails fast and is
         # reported as shed, rather than retrying against the same
         # exhausted pool -- exactly the static-allocation failure the
@@ -1034,7 +1041,6 @@ def _availability_point(
             recovery=recovery,
             policy=policy,
             optimizer_config=settings.optimizer,
-            plan_cache=settings.plan_cache,
         )
     except TransientFaultError:
         time, replans, completed = horizon, 0.0, 0.0

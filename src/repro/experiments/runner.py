@@ -1,11 +1,10 @@
-"""How thoroughly to run an experiment point: seeds, optimizer preset, plan cache."""
+"""How thoroughly to run an experiment point: seeds and optimizer preset."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from repro.config import OptimizerConfig
-from repro.optimizer.cache import PlanCache
 
 __all__ = ["RunSettings"]
 
@@ -19,19 +18,16 @@ class RunSettings:
     the paper's 10-way experiments ("the data points ... represent the
     average of many such random placements", section 4.3).
 
-    ``plan_cache`` memoizes the per-point optimizations: sweeps that
-    revisit the same (query, environment, policy, seed) combination -- or
-    whose hybrid runs repeat a pure subspace pass -- reuse the earlier
-    result instead of re-searching.  Caching never changes which plan a
-    point measures.
+    Plans are reused only inside one grid point: a point optimizes all
+    of its policies for one seed against one plan cache, so hybrid's
+    pure data- and query-shipping passes repeat no search.  Nothing is
+    shared across points, so the result does not depend on how points
+    are split over worker processes.
     """
 
     seeds: tuple[int, ...] = (3, 7, 11, 13, 17)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig.fast)
-    plan_cache: PlanCache | None = field(default=None, compare=False)
 
     def quick(self) -> "RunSettings":
         """Three-seed variant for smoke tests."""
-        return RunSettings(
-            seeds=self.seeds[:3], optimizer=self.optimizer, plan_cache=self.plan_cache
-        )
+        return RunSettings(seeds=self.seeds[:3], optimizer=self.optimizer)

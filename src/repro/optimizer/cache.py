@@ -1,7 +1,8 @@
 """Plan cache: memoized 2PO results keyed by a canonical fingerprint.
 
-With multi-client workloads, fault-recovery replans, and parameter sweeps,
-the same (query, policy, objective, environment, seed, optimizer config)
+Within one workload run (sessions and fault-recovery replans) and one
+sweep point (its data-, query- and hybrid-shipping optimizations), the
+same (query, policy, objective, environment, seed, optimizer config)
 tuple is optimized over and over; the search itself is deterministic for
 that tuple, so its result can be reused.  A :class:`PlanCache` memoizes two
 granularities:
@@ -39,6 +40,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.plans.policies import Policy
 
 __all__ = ["CacheStats", "PlanCache", "plan_fingerprint"]
+
+#: Entries one :class:`PlanCache` keeps; the least recently used goes first.
+MAX_ENTRIES = 512
 
 
 def _environment_parts(environment: "EnvironmentState") -> list[str]:
@@ -87,7 +91,6 @@ def plan_fingerprint(
     annotation_moves_only: bool,
     forced_client_relations: frozenset[str],
     subspace: "Policy | None" = None,
-    cache_digest: str = "",
 ) -> str:
     """Canonical digest of everything that determines an optimization.
 
@@ -96,11 +99,10 @@ def plan_fingerprint(
     constructing policy is irrelevant and excluded, so a hybrid run's pure
     pass shares an entry with the standalone pure optimization).
 
-    ``cache_digest`` keys the client cache *contents* the plan was chosen
-    for.  The catalog's cache fractions alone miss two cases: per-client
-    overrides installed via ``Catalog.install(client_caches=...)`` (the
-    catalog looks identical while the client disks differ) and the dynamic
-    buffer cache evolving between queries of a stream.
+    Client cache contents are keyed through the environment: a per-client
+    override is a catalog with its own cache fractions
+    (``Catalog.with_cache``), and a live buffer cache is the environment's
+    ``cache_state`` snapshot.
     """
     parts = [
         repr(query.relations),
@@ -129,7 +131,6 @@ def plan_fingerprint(
         repr(annotation_moves_only),
         repr(sorted(forced_client_relations)),
         "pass:" + subspace.value if subspace is not None else "full",
-        "cachedigest:" + cache_digest,
     ]
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
@@ -155,12 +156,11 @@ class PlanCache:
 
     Entries are ``(plan, cost)`` tuples for pass-level keys and full
     ``OptimizationResult``-shaped tuples for whole-run keys; both sides are
-    immutable, so sharing them across callers is free.  ``max_entries``
-    bounds memory; the least recently used entry is evicted first.
+    immutable, so sharing them across callers is free.  At most
+    :data:`MAX_ENTRIES` are kept; the least recently used goes first.
     """
 
-    def __init__(self, max_entries: int = 512) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.stats = CacheStats()
         self._entries: "OrderedDict[str, tuple[DisplayOp, PlanCost]]" = OrderedDict()
 
@@ -179,7 +179,7 @@ class PlanCache:
     def put(self, key: str, plan: "DisplayOp", cost: "PlanCost") -> None:
         self._entries[key] = (plan, cost)
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:

@@ -63,7 +63,6 @@ class RandomizedOptimizer:
         initial_plan: DisplayOp | None = None,
         forced_client_relations: frozenset[str] = frozenset(),
         plan_cache: PlanCache | None = None,
-        cache_digest: str = "",
     ) -> None:
         self.query = query
         self.environment = environment
@@ -86,9 +85,6 @@ class RandomizedOptimizer:
             initial_plan = force_client_scans(initial_plan, self.forced_client_relations)
         self.initial_plan = initial_plan
         self.plan_cache = plan_cache
-        # Digest of the client cache contents this run plans against (see
-        # plan_fingerprint); "" means "whatever the catalog fractions say".
-        self.cache_digest = cache_digest
         # Replica-aware site selection: every copy location of each
         # replicated relation (primary first) feeds the optimizer's
         # "rehome" move.  Empty for unreplicated catalogs, in which case
@@ -113,7 +109,6 @@ class RandomizedOptimizer:
             self.annotation_moves_only,
             self.forced_client_relations,
             subspace=subspace,
-            cache_digest=self.cache_digest,
         )
 
     # ------------------------------------------------------------------

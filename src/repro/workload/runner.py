@@ -85,9 +85,10 @@ class WorkloadRunner:
         view gets its own optimized plan, because what a client has on its
         local disk changes which plans are even sensible for it.
 
-        ``plan_cache`` memoizes those per-view optimizations (and any
-        mid-run replans): a cache shared across runs means repeated query
-        classes are planned once, without changing which plan is chosen.
+        Plans are reused within one run: the per-view optimizations,
+        per-submission planning and mid-run replans share one plan cache,
+        ``plan_cache`` if given (its ``stats`` then count the run's
+        lookups), else a fresh one.  Reuse never changes a chosen plan.
 
         ``cache`` selects the client caching model: a
         :class:`~repro.caching.CacheConfig`, the shorthand strings
@@ -142,7 +143,7 @@ class WorkloadRunner:
     # ------------------------------------------------------------------
     # Per-client planning
     # ------------------------------------------------------------------
-    def _optimize_plans(self) -> dict[int, DisplayOp]:
+    def _optimize_plans(self, plan_cache: PlanCache) -> dict[int, DisplayOp]:
         """One optimized plan per client; shared across identical cache views."""
         scenario = self.scenario
         by_view: dict[typing.Any, DisplayOp] = {}
@@ -166,7 +167,7 @@ class WorkloadRunner:
                     objective=self.objective,
                     config=self.optimizer_config,
                     seed=self.seed,
-                    plan_cache=self.plan_cache,
+                    plan_cache=plan_cache,
                 ).optimize().plan
             plans[ordinal] = by_view[key]
         return plans
@@ -181,13 +182,11 @@ class WorkloadRunner:
             scenario.config.with_clients(self.num_clients), cache=self.cache
         )
         dynamic = self.cache.is_dynamic
-        plans = {} if dynamic else self._optimize_plans()
-        plan_cache = self.plan_cache
-        if dynamic and plan_cache is None:
-            # Per-launch planning re-optimizes at every submission; a
-            # private plan cache makes repeat cache states (the common
-            # steady state) plan-once without changing any chosen plan.
-            plan_cache = PlanCache()
+        # One plan cache for the whole run: repeat cache views (the common
+        # steady state of per-submission planning) and replans around the
+        # same crashed sites plan once, without changing any chosen plan.
+        plan_cache = self.plan_cache if self.plan_cache is not None else PlanCache()
+        plans = {} if dynamic else self._optimize_plans(plan_cache)
 
         env = Environment()
         if self.tracer is not None:

@@ -28,7 +28,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.schedule import FaultSchedule
     from repro.obs.telemetry import TelemetryConfig
     from repro.obs.trace import Tracer
-    from repro.optimizer.cache import PlanCache
     from repro.plans.binding import BoundPlan
     from repro.plans.operators import DisplayOp
     from repro.plans.policies import Policy
@@ -67,7 +66,6 @@ class Scenario:
         objective: Objective = Objective.RESPONSE_TIME,
         optimizer_config: "OptimizerConfig | None" = None,
         tracer: "Tracer | None" = None,
-        plan_cache: "PlanCache | None" = None,
         telemetry: "TelemetryConfig | None" = None,
     ) -> ExecutionResult:
         """Simulate one plan in a freshly built system.
@@ -77,8 +75,7 @@ class Scenario:
         tunes retries, backoff, timeout, and replanning (``policy`` /
         ``objective`` / ``optimizer_config`` parameterize the re-optimization
         performed after a fault).  ``tracer`` records per-operator spans of
-        the run in simulated time (see :mod:`repro.obs`).  ``plan_cache``
-        memoizes any replanning the recovery loop performs.  ``telemetry``
+        the run in simulated time (see :mod:`repro.obs`).  ``telemetry``
         attaches a gauge sampler; the result then carries the run's
         utilization time series (see :mod:`repro.obs.telemetry`).
         """
@@ -94,7 +91,6 @@ class Scenario:
             objective=objective,
             optimizer_config=optimizer_config,
             tracer=tracer,
-            plan_cache=plan_cache,
             telemetry=telemetry,
         )
         try:

@@ -147,7 +147,6 @@ class TestCacheAwarePlanning:
                 policy=Policy.HYBRID_SHIPPING,
                 objective=Objective.PAGES_SENT,
                 seed=3,
-                cache_digest=state.digest(),
             ).optimize().plan
 
         cold, warm = plan_for(0.0), plan_for(0.6)

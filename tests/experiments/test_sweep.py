@@ -2,8 +2,10 @@
 
 import functools
 
-from repro.experiments.figures import FigureResult, _sweep, function_shipping
+from repro.experiments.figures import FigureResult, _sweep, figure8, function_shipping
 from repro.experiments.runner import RunSettings
+from repro.optimizer import RandomizedOptimizer
+from repro.plans.policies import Policy
 from repro.workloads.scenarios import Scenario
 
 
@@ -72,3 +74,22 @@ def test_function_shipping_simulates_each_arm_cost_and_seed_once(monkeypatch):
     # Three arms; one run per (arm, cost, seed) feeds both of the arm's series.
     assert len(calls) == 3 * len(costs) * len(seeds)
     assert len(result.series) == 2 * 3
+
+
+def test_one_point_runs_each_pure_pass_once(monkeypatch):
+    """DS, QS and HY of one (x, seed) share their search: hybrid's pure
+    passes reuse the standalone DS and QS optimizations of the point."""
+    calls = []
+    run_2po = RandomizedOptimizer._run_2po
+
+    def counting_run_2po(self, move_policy):
+        calls.append((self.policy, move_policy))
+        return run_2po(self, move_policy)
+
+    monkeypatch.setattr(RandomizedOptimizer, "_run_2po", counting_run_2po)
+    figure8(RunSettings(seeds=(3,)), server_counts=(2,))
+    assert calls == [
+        (Policy.DATA_SHIPPING, Policy.DATA_SHIPPING),
+        (Policy.QUERY_SHIPPING, Policy.QUERY_SHIPPING),
+        (Policy.HYBRID_SHIPPING, Policy.HYBRID_SHIPPING),
+    ]

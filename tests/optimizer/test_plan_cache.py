@@ -5,8 +5,10 @@ import pytest
 from repro.config import OptimizerConfig
 from repro.costmodel.model import Objective
 from repro.optimizer import PlanCache, RandomizedOptimizer, plan_fingerprint
+from repro.optimizer import cache as cache_module
 from repro.optimizer.random_plans import PlanShape, random_plan
 from repro.plans.policies import Policy
+from repro.workload import StreamConfig, WorkloadRunner
 from repro.workloads.scenarios import chain_scenario
 
 import random
@@ -44,17 +46,21 @@ class TestTransparency:
                     assert hit.plan == plain.plan
                     assert hit.cost == plain.cost
         assert cache.stats.hits >= len(POLICIES) * len(OBJECTIVES) * len(SEEDS)
-
-    def test_throughput_sweep_with_cache_matches_uncached(self):
-        """A cached multi-client workload reproduces the uncached numbers."""
-        from repro.experiments import throughput_sweep
-        from repro.experiments.runner import RunSettings
-
-        plain = throughput_sweep(RunSettings(seeds=(3,)), client_counts=(1, 2))
-        cached = throughput_sweep(
-            RunSettings(seeds=(3,), plan_cache=PlanCache()), client_counts=(1, 2)
-        )
-        assert cached.series == plain.series
+        # A workload run with an explicit cache -- cold, then warm from the
+        # run before -- equals one on the run's own cache, in both modes.
+        stream = StreamConfig(arrival="closed", queries_per_client=2)
+        for mode in ("static", "dynamic"):
+            shared = PlanCache()
+            own, cold, warm = (
+                WorkloadRunner(
+                    scenario, Policy.HYBRID_SHIPPING, num_clients=2,
+                    stream=stream, seed=3, plan_cache=plan_cache, cache=mode,
+                ).run()
+                for plan_cache in (None, shared, shared)
+            )
+            assert cold == own
+            assert warm == own
+            assert shared.stats.hits > 0
 
     def test_full_run_hit_does_no_search(self):
         scenario = chain_scenario(num_relations=2)
@@ -107,47 +113,49 @@ class TestInvalidation:
         assert plain != constrained
 
     def test_environment_change_changes_the_key(self):
+        """Cached fractions key the plan, also a per-client override:
+        the catalog copy a client plans against carries its fractions."""
+        from repro.costmodel.model import EnvironmentState
+
         config = OptimizerConfig.fast()
         cold = chain_scenario(num_relations=2, cached_fraction=0.0)
         warm = chain_scenario(num_relations=2, cached_fraction=0.5)
+        environments = [cold.environment(), warm.environment()]
+        for override in ({"R0": 0.5}, {"R0": 0.5, "R1": 0.25}):
+            environments.append(
+                EnvironmentState(cold.catalog.with_cache(override), cold.config, {})
+            )
         keys = {
             plan_fingerprint(
-                s.query, s.environment(), Policy.HYBRID_SHIPPING,
+                cold.query, environment, Policy.HYBRID_SHIPPING,
                 Objective.RESPONSE_TIME, config, 0, PlanShape.ANY, False, frozenset(),
             )
-            for s in (cold, warm)
+            for environment in environments
         }
-        assert len(keys) == 2
-
-    def test_cache_digest_changes_the_key(self):
-        """Per-client cache overrides look identical at the catalog level;
-        the digest is what keeps their plans from cross-hitting."""
-        scenario = chain_scenario(num_relations=2)
-        environment = scenario.environment()
-        config = OptimizerConfig.fast()
-        args = (
-            scenario.query, environment, Policy.HYBRID_SHIPPING,
-            Objective.RESPONSE_TIME, config, 0, PlanShape.ANY, False, frozenset(),
-        )
-        keys = {
-            plan_fingerprint(*args),
-            plan_fingerprint(*args, cache_digest="override-a"),
-            plan_fingerprint(*args, cache_digest="override-b"),
-        }
-        assert len(keys) == 3
+        assert len(keys) == 4
 
     def test_dynamic_cache_state_changes_the_key(self):
         """A warming buffer cache stops stale plans from hitting."""
-        from repro.caching import CacheState
+        from dataclasses import replace
+
+        from repro.caching import CacheConfig, CacheState
         from repro.costmodel.model import EnvironmentState
 
         scenario = chain_scenario(num_relations=2)
         config = OptimizerConfig.fast()
+        # A live snapshot: the pages one data-shipping query faulted in.
+        dynamic = replace(
+            scenario, config=replace(scenario.config, cache=CacheConfig(mode="dynamic"))
+        )
+        plan = _optimize(dynamic, Policy.DATA_SHIPPING, Objective.RESPONSE_TIME, 0, None)
+        live = dynamic.execute(plan.plan).cache_state
+        assert live.resident
         keys = set()
         for state in (
             None,
             CacheState(capacity_pages=500),
             CacheState(capacity_pages=500, resident=(("R0", 10),)),
+            live,
         ):
             environment = EnvironmentState(
                 scenario.catalog, scenario.config, {}, cache_state=state
@@ -159,7 +167,7 @@ class TestInvalidation:
                     frozenset(),
                 )
             )
-        assert len(keys) == 3
+        assert len(keys) == 4
 
     def test_counters_alone_do_not_change_the_key(self):
         """Plans depend on what is resident, not on the hit/miss history --
@@ -203,8 +211,9 @@ class TestInvalidation:
 
 
 class TestMechanics:
-    def test_lru_bound(self):
-        cache = PlanCache(max_entries=2)
+    def test_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
+        cache = PlanCache()
         scenario = chain_scenario(num_relations=2)
         plan = _optimize(scenario, Policy.HYBRID_SHIPPING, Objective.RESPONSE_TIME, 0, None)
         for key in ("a", "b", "c"):
