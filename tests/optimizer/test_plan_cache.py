@@ -46,8 +46,31 @@ class TestTransparency:
                     assert hit.plan == plain.plan
                     assert hit.cost == plain.cost
         assert cache.stats.hits >= len(POLICIES) * len(OBJECTIVES) * len(SEEDS)
+
+    def test_throughput_sweep_with_cache_matches_uncached(self, monkeypatch):
+        """A cached multi-client workload reproduces the uncached numbers."""
+        import functools
+
+        from repro.experiments import figures, throughput_sweep
+        from repro.experiments.runner import RunSettings
+
+        plain = throughput_sweep(RunSettings(seeds=(3,)), client_counts=(1, 2))
+        # Every run of the sweep plans against one shared cache: cold on the
+        # first sweep, warm from it on the second.
+        shared = PlanCache()
+        monkeypatch.setattr(
+            figures, "WorkloadRunner",
+            functools.partial(WorkloadRunner, plan_cache=shared),
+        )
+        for _ in range(2):
+            cached = throughput_sweep(RunSettings(seeds=(3,)), client_counts=(1, 2))
+            assert cached.series == plain.series
+        assert shared.stats.hits > 0
+        monkeypatch.undo()
+
         # A workload run with an explicit cache -- cold, then warm from the
         # run before -- equals one on the run's own cache, in both modes.
+        scenario = chain_scenario(num_relations=3, cached_fraction=0.5)
         stream = StreamConfig(arrival="closed", queries_per_client=2)
         for mode in ("static", "dynamic"):
             shared = PlanCache()
