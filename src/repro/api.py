@@ -430,7 +430,9 @@ def run_workload(
     ``telemetry`` works as in :func:`run_query`; the sampled series (which
     under a workload additionally cover per-server admission queue depth
     and running-query occupancy) land on the result's ``telemetry`` field.
-    Clients sharing a cache view plan their query class once per run.
+    Every session is planned when its client submits it, against that
+    client's cache contents at that moment; a run's sessions that find
+    the same view reuse one plan.
 
     ``cache`` selects the client caching model (see
     :class:`~repro.workload.WorkloadRunner`): ``None`` or ``"dynamic"``

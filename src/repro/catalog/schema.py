@@ -42,8 +42,5 @@ class Relation:
             return 0
         return math.ceil(self.tuples / self.tuples_per_page(config))
 
-    def bytes_total(self) -> int:
-        return self.tuples * self.tuple_bytes
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name

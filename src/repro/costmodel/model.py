@@ -214,7 +214,6 @@ class CostModel:
         # bit-for-bit identical to the naive walk (asserted in tests);
         # ``incremental=False`` disables both.
         self._incremental = incremental
-        self._full_walk = False
         self._plan_memo: dict[DisplayOp, PlanCost] = {}
         self._scan_memo: dict[
             tuple[str, int, int, bool, bool, bool],
@@ -224,22 +223,14 @@ class CostModel:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def evaluate(
-        self, plan: "DisplayOp | BoundPlan", full_recompute: bool = False
-    ) -> PlanCost:
-        """Estimate all three metrics for a plan.
-
-        ``full_recompute=True`` bypasses the incremental caches and walks
-        the whole plan naively -- the cross-check mode the tests assert
-        matches the cached path bit for bit.
-        """
+    def evaluate(self, plan: "DisplayOp | BoundPlan") -> PlanCost:
+        """Estimate all three metrics for a plan."""
         self.evaluations += 1
         # Memoization applies only to annotated plans under the default
         # catalog binding; explicit BoundPlans (custom client sites, the
         # breakdown path) always take the full walk.
         memoize = (
             self._incremental
-            and not full_recompute
             and self._breakdown is None
             and not isinstance(plan, BoundPlan)
         )
@@ -248,17 +239,13 @@ class CostModel:
             if cached is not None:
                 return cached
         bound = plan if isinstance(plan, BoundPlan) else bind_plan(plan, self.environment.catalog)
-        self._full_walk = full_recompute
-        try:
-            graph = StageGraph()
-            pages_sent = [0.0]
-            spill_sites, scan_sites = self._disk_traffic_sites(bound)
-            contribution = self._visit(
-                bound.root, bound, graph, spill_sites, scan_sites, pages_sent
-            )
-            contribution.into_stage(graph, "final", final=True)
-        finally:
-            self._full_walk = False
+        graph = StageGraph()
+        pages_sent = [0.0]
+        spill_sites, scan_sites = self._disk_traffic_sites(bound)
+        contribution = self._visit(
+            bound.root, bound, graph, spill_sites, scan_sites, pages_sent
+        )
+        contribution.into_stage(graph, "final", final=True)
         cost = PlanCost(
             pages_sent=pages_sent[0],
             total_cost=graph.total_cost(),
@@ -432,7 +419,7 @@ class CostModel:
         spill_sites: frozenset[int],
         pages_sent: list[float],
     ) -> StreamContribution:
-        if not self._incremental or self._full_walk or self._breakdown is not None:
+        if not self._incremental or self._breakdown is not None:
             return self._scan_compute(op, bound, spill_sites, pages_sent)
         # A scan leaf's contribution is fully determined by its relation,
         # its bound site, the copy it reads, and which disks carry

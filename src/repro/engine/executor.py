@@ -1,19 +1,20 @@
 """Query executor: builds physical operator trees and drives them.
 
-One :class:`QueryExecutor` owns one simulated system: by default it creates
-the environment and topology, installs the catalog, starts any external
-load generators, converts a bound plan into physical iterators (inserting
-exchange pairs on cross-site edges), and runs the root display to
-completion.  The result carries the study's two metrics -- response time
-and pages sent -- plus detailed resource statistics.
+One :class:`QueryExecutor` owns one simulated system, and it is the only
+place one is built: it creates the environment and topology, installs the
+catalog (with any per-client cache contents), binds the tracer, starts any
+external load generators and the telemetry sampler, converts a bound plan
+into physical iterators (inserting exchange pairs on cross-site edges),
+and runs the root display to completion.  The result carries the study's
+two metrics -- response time and pages sent -- plus detailed resource
+statistics.
 
 Every run goes through a :class:`Session`: one query or write statement
 driven as a simulated process.  :meth:`QueryExecutor.execute` runs a
-single query as a one-client session; for multi-client workloads the
-executor is instead built *around* an existing environment and topology,
-and many sessions execute concurrently on that shared system, contending
-on the server CPUs, disks, and the network, with optional server-side
-admission control (see :mod:`repro.workload`).
+single query as a one-client session; a multi-client workload (see
+:mod:`repro.workload`) instead runs many sessions concurrently on the
+executor's system, contending on the server CPUs, disks, and the network,
+with optional server-side admission control.
 
 With a :class:`~repro.faults.FaultSchedule` attached, the executor becomes
 fault tolerant: a :class:`~repro.faults.FaultInjector` crashes servers,
@@ -43,7 +44,6 @@ from repro.engine.scans import ScanIterator
 from repro.engine.selects import SelectIterator
 from repro.engine.sinks import DisplayIterator
 from repro.errors import (
-    ConfigurationError,
     ExecutionError,
     QueryShedError,
     TransientFaultError,
@@ -223,14 +223,16 @@ class ExecutionResult:
 
 
 class QueryExecutor:
-    """Runs bound plans on a simulated system.
+    """Builds one simulated system and runs bound plans on it.
 
-    By default the executor builds a fresh system (environment, topology,
-    installed catalog) and :meth:`execute` runs one plan to completion on
-    it.  Passing ``topology`` (and optionally ``env``) instead attaches the
-    executor to an existing, already-installed system -- the multi-client
-    workload mode, where the caller creates concurrently running
-    :class:`Session`\\ s and drives the environment.
+    The executor creates the environment and topology and installs the
+    catalog; ``client_caches`` overrides the cached fractions of
+    individual clients (keyed by client site id, see
+    :meth:`Catalog.install`).  :meth:`execute` runs one plan to completion
+    as a one-client session.  A multi-client workload instead creates
+    concurrently running :class:`Session`\\ s on :attr:`topology`, each
+    planned by :meth:`optimize_for` at submission, and drives :attr:`env`
+    itself.  :meth:`close` frees the system.
     """
 
     def __init__(
@@ -245,8 +247,7 @@ class QueryExecutor:
         policy: Policy | None = None,
         objective: Objective = Objective.RESPONSE_TIME,
         optimizer_config: OptimizerConfig | None = None,
-        env: Environment | None = None,
-        topology: Topology | None = None,
+        client_caches: "dict[int, dict[str, float]] | None" = None,
         tracer: "Tracer | None" = None,
         plan_cache: "PlanCache | None" = None,
         telemetry: "TelemetryConfig | None" = None,
@@ -256,22 +257,9 @@ class QueryExecutor:
         self.query = query
         self.seed = seed
         self.server_loads = dict(server_loads or {})
-        if topology is not None:
-            if env is not None and env is not topology.env:
-                raise ConfigurationError(
-                    "explicit env does not match the provided topology's env"
-                )
-            # Shared system: the caller created the topology and installed
-            # the catalog on it (possibly with per-client cache contents).
-            self.env = topology.env
-            self.topology = topology
-        else:
-            self.env = env if env is not None else Environment()
-            self.topology = Topology(self.env, config, seed=seed)
-            catalog.install(self.topology)
-        #: Whether :meth:`close` frees the environment: only one this
-        #: executor created itself.
-        self._owns_env = env is None and topology is None
+        self.env = Environment()
+        self.topology = Topology(self.env, config, seed=seed)
+        catalog.install(self.topology, client_caches=client_caches)
         self.tracer = tracer
         if tracer is not None:
             tracer.bind(self.env)
@@ -466,13 +454,12 @@ class QueryExecutor:
 
     def close(self) -> None:
         """Free the simulated system this executor built (see
-        :meth:`Environment.close`); a no-op on a caller's environment.
+        :meth:`Environment.close`).
 
-        Call it once the last :meth:`execute` result is collected; results
-        and the topology's counters stay readable.
+        Call it once the last result is collected; results and the
+        topology's counters stay readable.
         """
-        if self._owns_env:
-            self.env.close()
+        self.env.close()
 
     def new_context(self, supervised: bool = False) -> ExecutionContext:
         """A fresh context for one run (or recovery attempt) of this query."""

@@ -18,8 +18,7 @@ broker; :func:`~repro.storage.memory.grant_range` picks the request:
 - **static** (the paper's model): a *fixed* grant ``[n, n]`` of the
   plan-time min/max allocation that sheds the query instead of queueing.
   A fixed grant keeps the paper's plan-time spill model: no recursive
-  overflow passes, spilled output paced from the estimate, and no role
-  reversal;
+  overflow passes and no role reversal;
 - **dynamic** (``SystemConfig.memory.mode == "dynamic"``): a grant in
   ``[minimum, maximum]`` allocation that queues deterministically under
   saturation, *shrinks mid-join* when the broker reclaims pages for a
@@ -411,9 +410,9 @@ class HashJoinIterator(PhysicalOp):
         follows the resident fractions actually in force during the probe.
 
         A fixed grant (``min_pages == max_pages``: the static discipline)
-        keeps the paper's plan-time model instead: the inner always
-        builds, no overflow pass runs, and the spilled output is paced
-        from the estimate, evenly over the outer pages written.
+        keeps the paper's plan-time model instead: the inner always builds
+        and no overflow pass runs.  Its output is paced like an elastic
+        grant's.
         """
         assert self._inner_parts is not None and self._outer_parts is not None
         if self._partition_cursor >= len(self._inner_parts):
@@ -458,14 +457,10 @@ class HashJoinIterator(PhysicalOp):
             cpu += config.move_instructions(config.page_size)
             yield from self.site.cpu.execute(cpu)
         outer_written = max(1, self._outer_parts.pages_written)
-        if fixed:
-            spilled_output = self.est_output_tuples * (1.0 - self._hh.resident_fraction)
-            per_page_output = spilled_output / outer_written
-        else:
-            # The partition's output share follows its *outer* pages no
-            # matter which side built.
-            partition_output = self._spilled_output_tuples * len(outer_pages) / outer_written
-            per_page_output = partition_output / max(1, len(probe_pages))
+        # The partition's output share follows its *outer* pages no matter
+        # which side built.
+        partition_output = self._spilled_output_tuples * len(outer_pages) / outer_written
+        per_page_output = partition_output / max(1, len(probe_pages))
         for disk_page in probe_pages:
             yield from self.site.cpu.execute(config.disk_inst)
             yield self.site.disk.read(disk_page)

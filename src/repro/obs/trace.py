@@ -241,10 +241,6 @@ class Tracer:
         span = self._innermost_op(stack)
         return span.op if span is not None else None
 
-    def open_stack(self, track: str) -> list[Span]:
-        """The still-open spans of one track, outermost first (debug aid)."""
-        return list(self._stacks.get(track, ()))
-
     def describe_stack(self, track: str) -> str:
         """Render a track's open-span stack as ``a > b > c`` (deadlock dumps)."""
         stack = self._stacks.get(track)
@@ -269,9 +265,6 @@ class Tracer:
                 span = stack.pop()
                 span.end = self.env.now
                 self.spans.append(span)
-
-    def operator_spans(self) -> list[Span]:
-        return [s for s in self.spans if s.cat == "op"]
 
     def operator_resource_seconds(self) -> dict[str, dict[str, float]]:
         """Actual resource seconds per operator label.

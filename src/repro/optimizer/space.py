@@ -65,21 +65,6 @@ def has_cartesian_join(root: PlanOp, query: Query) -> bool:
     return False
 
 
-def _reorder_candidates(root: DisplayOp) -> list[tuple[int, JoinOp]]:
-    """All (move number, join node) pairs where a join-order move applies."""
-    candidates: list[tuple[int, JoinOp]] = []
-    for op in root.walk():
-        if not isinstance(op, JoinOp):
-            continue
-        if isinstance(op.inner, JoinOp):
-            candidates.append((1, op))
-            candidates.append((2, op))
-        if isinstance(op.outer, JoinOp):
-            candidates.append((3, op))
-            candidates.append((4, op))
-    return candidates
-
-
 def _apply_reorder(move: int, join: JoinOp) -> JoinOp:
     """Apply a join-order move at ``join``, reusing existing annotations."""
     if move in (1, 2):
@@ -101,27 +86,6 @@ def _apply_reorder(move: int, join: JoinOp) -> JoinOp:
 def _sorted_annotations(policy: Policy, kind: str) -> tuple[Annotation, ...]:
     """Table-1 annotations for ``kind`` in deterministic order (hot path)."""
     return tuple(sorted(allowed_annotations(policy, kind), key=lambda a: a.value))
-
-
-def _annotation_candidates(
-    root: DisplayOp,
-    policy: Policy,
-    forced_client_relations: frozenset[str] = frozenset(),
-) -> list[tuple[PlanOp, Annotation]]:
-    """All (node, new annotation) pairs for moves 5-7 under ``policy``.
-
-    Scans of ``forced_client_relations`` (relations whose primary server is
-    excluded, e.g. crashed) are pinned to ``client`` and generate no moves.
-    """
-    candidates: list[tuple[PlanOp, Annotation]] = []
-    for op in root.walk():
-        if isinstance(op, ScanOp) and op.relation in forced_client_relations:
-            continue
-        if isinstance(op, (JoinOp, SelectOp, ScanOp)):
-            for annotation in _sorted_annotations(policy, op.kind):
-                if annotation is not op.annotation:
-                    candidates.append((op, annotation))
-    return candidates
 
 
 def enumerate_candidates(

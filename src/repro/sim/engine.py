@@ -7,7 +7,7 @@ import math
 import typing
 import weakref
 from collections import deque
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heappush as _heappush
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, Timeout
@@ -446,13 +446,6 @@ class Environment:
         self.tracer = None
         self.debug_dumpers.clear()
         self.stall_handlers.clear()
-
-    def run_all(self, limit: float | None = None) -> None:
-        """Run until the queue drains (or ``limit`` is reached, if given)."""
-        if limit is None:
-            self.run()
-        else:
-            self.run(until=limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         pending = len(self._queue) + len(self._immediate)

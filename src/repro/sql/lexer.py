@@ -8,7 +8,6 @@ rather than "syntax error".
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass
 
 from repro.errors import SqlError
@@ -146,7 +145,3 @@ def tokenize(sql: str) -> list[Token]:
 
     tokens.append(Token("eof", "", line, column))
     return tokens
-
-
-def token_stream(sql: str) -> typing.Iterator[Token]:  # pragma: no cover - convenience
-    yield from tokenize(sql)

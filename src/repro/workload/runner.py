@@ -1,12 +1,13 @@
 """The workload runner: one shared system, many concurrent query sessions.
 
 This is the multi-client counterpart of ``Scenario.execute``: it builds
-*one* environment and topology with ``num_clients`` client sites, installs
-the catalog (optionally with per-client cache contents), optimizes the
-chain query once per distinct client cache view, and then lets every
-client's :class:`~repro.workload.streams.ClientStream` submit sessions that
-contend for the server CPUs, disks, and the network -- throttled by
-per-server :class:`~repro.workload.admission.AdmissionController`\\ s.
+*one* :class:`~repro.engine.executor.QueryExecutor` with ``num_clients``
+client sites (optionally with per-client cache contents), and then lets
+every client's :class:`~repro.workload.streams.ClientStream` submit
+sessions that contend for the server CPUs, disks, and the network --
+throttled by per-server
+:class:`~repro.workload.admission.AdmissionController`\\ s.  Every read
+session is planned at submission, against the system as it stands then.
 
 The experiment the paper's design points at: data-shipping clients that
 cache their inputs keep scaling as clients are added (each brings its own
@@ -27,16 +28,13 @@ import random
 from repro.caching.config import CacheConfig
 from repro.config import OptimizerConfig
 from repro.consistency.config import ConsistencyConfig
-from repro.costmodel.model import EnvironmentState, Objective
+from repro.costmodel.model import Objective
 from repro.engine.executor import QueryExecutor, Session, SessionResult
 from repro.errors import ConfigurationError
 from repro.hardware.site import client_site_id
-from repro.hardware.topology import Topology
 from repro.optimizer.cache import PlanCache
-from repro.optimizer.two_phase import RandomizedOptimizer
-from repro.plans.operators import DisplayOp
 from repro.plans.policies import Policy
-from repro.sim import AllOf, Environment
+from repro.sim import AllOf
 from repro.workload.admission import AdmissionConfig, AdmissionController
 from repro.workload.results import WorkloadResult
 from repro.workload.streams import ClientStream, StreamConfig
@@ -81,12 +79,14 @@ class WorkloadRunner:
     ) -> None:
         """``client_caches`` is keyed by client *ordinal* (0..num_clients-1)
         and overrides that client's cached fractions; clients without an
-        entry use the scenario catalog's fractions.  Each distinct cache
-        view gets its own optimized plan, because what a client has on its
-        local disk changes which plans are even sensible for it.
+        entry use the scenario catalog's fractions.
 
-        Plans are reused within one run: the per-view optimizations,
-        per-submission planning and mid-run replans share one plan cache,
+        Every read session is planned when its client submits it, by
+        :meth:`QueryExecutor.optimize_for`, against that client's live
+        :class:`~repro.caching.CacheState` (and, under dynamic memory, the
+        brokers' occupancy): what a client has on its local disk changes
+        which plans are even sensible for it.  Plans are reused within one
+        run: submission planning and mid-run replans share one plan cache,
         ``plan_cache`` if given (its ``stats`` then count the run's
         lookups), else a fresh one.  Reuse never changes a chosen plan.
 
@@ -94,10 +94,8 @@ class WorkloadRunner:
         :class:`~repro.caching.CacheConfig`, the shorthand strings
         ``"dynamic"``/``"static"``, or None for the workload default --
         **dynamic** (the cache fractions become seeded resident pages and
-        client scans admit faulted-in pages, so streams warm up).  In
-        dynamic mode each session is planned at submission time against its
-        client's live :class:`~repro.caching.CacheState`; ``"static"`` is
-        the paper's fixed-prefix model used by the figure
+        client scans admit faulted-in pages, so streams warm up);
+        ``"static"`` is the paper's fixed-prefix model used by the figure
         reproductions.
         """
         if num_clients < 1:
@@ -141,38 +139,6 @@ class WorkloadRunner:
                 )
 
     # ------------------------------------------------------------------
-    # Per-client planning
-    # ------------------------------------------------------------------
-    def _optimize_plans(self, plan_cache: PlanCache) -> dict[int, DisplayOp]:
-        """One optimized plan per client; shared across identical cache views."""
-        scenario = self.scenario
-        by_view: dict[typing.Any, DisplayOp] = {}
-        plans: dict[int, DisplayOp] = {}
-        for ordinal in range(self.num_clients):
-            overrides = self.client_caches.get(ordinal)
-            key = None if overrides is None else tuple(sorted(overrides.items()))
-            if key not in by_view:
-                if overrides is None:
-                    environment = scenario.environment()
-                else:
-                    environment = EnvironmentState(
-                        scenario.catalog.with_cache(dict(overrides)),
-                        scenario.config,
-                        dict(scenario.server_loads),
-                    )
-                by_view[key] = RandomizedOptimizer(
-                    scenario.query,
-                    environment,
-                    policy=self.policy,
-                    objective=self.objective,
-                    config=self.optimizer_config,
-                    seed=self.seed,
-                    plan_cache=plan_cache,
-                ).optimize().plan
-            plans[ordinal] = by_view[key]
-        return plans
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> WorkloadResult:
@@ -181,31 +147,6 @@ class WorkloadRunner:
         config = replace(
             scenario.config.with_clients(self.num_clients), cache=self.cache
         )
-        dynamic = self.cache.is_dynamic
-        # One plan cache for the whole run: repeat cache views (the common
-        # steady state of per-submission planning) and replans around the
-        # same crashed sites plan once, without changing any chosen plan.
-        plan_cache = self.plan_cache if self.plan_cache is not None else PlanCache()
-        plans = {} if dynamic else self._optimize_plans(plan_cache)
-
-        env = Environment()
-        if self.tracer is not None:
-            self.tracer.bind(env)
-        topology = Topology(env, config, seed=self.seed)
-        # Exposed for tests and diagnostics (e.g. comparing per-site broker
-        # histories across replayed workloads); overwritten by each run().
-        self.last_topology = topology
-        scenario.catalog.install(
-            topology,
-            client_caches={
-                client_site_id(ordinal): fractions
-                for ordinal, fractions in self.client_caches.items()
-            },
-        )
-        if self.stream.write_fraction > 0.0:
-            from repro.consistency.protocol import make_protocol
-
-            topology.consistency = make_protocol(self.consistency, topology)
         executor = QueryExecutor(
             config,
             scenario.catalog,
@@ -217,9 +158,27 @@ class WorkloadRunner:
             policy=self.policy,
             objective=self.objective,
             optimizer_config=self.optimizer_config,
-            topology=topology,
-            plan_cache=plan_cache,
+            client_caches={
+                client_site_id(ordinal): fractions
+                for ordinal, fractions in self.client_caches.items()
+            },
+            tracer=self.tracer,
+            # One plan cache for the whole run: repeat cache views (the
+            # common steady state of per-submission planning) and replans
+            # around the same crashed sites plan once, without changing
+            # any chosen plan.
+            plan_cache=self.plan_cache if self.plan_cache is not None else PlanCache(),
+            telemetry=self.telemetry,
         )
+        env = executor.env
+        topology = executor.topology
+        # Exposed for tests and diagnostics (e.g. comparing per-site broker
+        # histories across replayed workloads); overwritten by each run().
+        self.last_topology = topology
+        if self.stream.write_fraction > 0.0:
+            from repro.consistency.protocol import make_protocol
+
+            topology.consistency = make_protocol(self.consistency, topology)
         controllers: dict[int, AdmissionController] = {}
         if self.admission is not None:
             controllers = {
@@ -232,22 +191,16 @@ class WorkloadRunner:
                 topology.metrics.gauges(
                     f"admission.server{sid}", controllers[sid], ADMISSION_GAUGES
                 )
-        sampler = None
-        if self.telemetry is not None:
-            from repro.obs.telemetry import TelemetrySampler
-
-            sampler = TelemetrySampler(env, topology.metrics, self.telemetry)
 
         def launch(ordinal: int, index: int) -> Session:
             site = client_site_id(ordinal)
-            # Dynamic caches plan each session at submission, against its
-            # client's *current* contents: a stream's later queries see the
-            # pages its earlier queries faulted in, the cache-aware
-            # feedback loop.
-            plan = executor.optimize_for(site) if dynamic else plans[ordinal]
+            # Each session is planned at submission, against its client's
+            # *current* cache contents: a stream's later queries see the
+            # pages its earlier queries faulted in (the cache-aware
+            # feedback loop) or lost to invalidations.
             return Session(
                 executor,
-                plan,
+                executor.optimize_for(site),
                 client_site=site,
                 admission=controllers,
                 session_id=f"c{ordinal}q{index}",
@@ -340,7 +293,7 @@ class WorkloadRunner:
             disk_utilizations=disk_util,
             network_utilization=topology.network.utilization(),
             profile=topology.metrics.snapshot(),
-            telemetry=None if sampler is None else sampler.snapshot(),
+            telemetry=None if executor.sampler is None else executor.sampler.snapshot(),
         )
-        env.close()
+        executor.close()
         return result

@@ -16,10 +16,8 @@ from repro.config import OptimizerConfig
 from repro.consistency import make_protocol
 from repro.costmodel.model import Objective
 from repro.engine.executor import QueryExecutor
-from repro.hardware.topology import Topology
 from repro.optimizer.two_phase import RandomizedOptimizer
 from repro.plans.policies import Policy
-from repro.sim import Environment
 from repro.workloads.scenarios import chain_scenario
 
 
@@ -28,9 +26,9 @@ def test_mid_fault_write_is_stamped_conservatively_and_never_served_stale():
     config = replace(
         scenario.config.with_clients(1), cache=CacheConfig(mode="dynamic")
     )
-    env = Environment()
-    topology = Topology(env, config, seed=1)
-    scenario.catalog.install(topology)
+    executor = QueryExecutor(config, scenario.catalog, scenario.query, seed=1)
+    env = executor.env
+    topology = executor.topology
     manager = make_protocol("invalidation", topology)
     topology.consistency = manager
 
@@ -43,9 +41,6 @@ def test_mid_fault_write_is_stamped_conservatively_and_never_served_stale():
         seed=1,
     ).optimize().plan
 
-    executor = QueryExecutor(
-        config, scenario.catalog, scenario.query, seed=1, topology=topology
-    )
     client = topology.clients[0]
     buffer = client.buffer_cache
     assert buffer is not None

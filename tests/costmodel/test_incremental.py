@@ -35,9 +35,7 @@ class TestBitIdentical:
             for plan in _neighbor_chain(scenario, policy, seed=7, length=40):
                 fast = incremental.evaluate(plan)
                 slow = naive.evaluate(plan)
-                cross = incremental.evaluate(plan, full_recompute=True)
                 assert fast == slow
-                assert cross == slow
 
 
 class TestFewerVisits:

@@ -13,12 +13,10 @@ from repro.caching.config import CacheConfig
 from repro.config import OptimizerConfig
 from repro.costmodel.model import Objective
 from repro.engine.executor import QueryExecutor
-from repro.hardware.topology import Topology
 from repro.obs import MetricsRegistry
 from repro.obs.telemetry import TelemetrySampler
 from repro.optimizer.two_phase import RandomizedOptimizer
 from repro.plans.policies import Policy
-from repro.sim import Environment
 from repro.workloads.scenarios import chain_scenario
 
 NAMES_FILE = Path(__file__).with_name("topology_gauge_names.txt")
@@ -94,9 +92,7 @@ def run_one_query():
     """3 clients, 2 servers, dynamic caches; client 0 runs one DS query."""
     scenario = chain_scenario(num_relations=2, num_servers=2, cached_fraction=0.5)
     config = replace(scenario.config.with_clients(3), cache=CacheConfig(mode="dynamic"))
-    env = Environment()
-    topology = Topology(env, config, seed=1)
-    scenario.catalog.install(topology)
+    executor = QueryExecutor(config, scenario.catalog, scenario.query, seed=1)
     plan = RandomizedOptimizer(
         scenario.query,
         scenario.environment(),
@@ -105,9 +101,8 @@ def run_one_query():
         config=OptimizerConfig.fast(),
         seed=1,
     ).optimize().plan
-    executor = QueryExecutor(config, scenario.catalog, scenario.query, seed=1, topology=topology)
     executor.execute(plan)
-    return env, topology
+    return executor.env, executor.topology
 
 
 def channels(env, registry):

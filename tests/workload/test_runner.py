@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from repro import api
+from repro.engine.executor import QueryExecutor
 from repro.errors import ConfigurationError
 from repro.faults.recovery import RecoveryPolicy
 from repro.hardware.site import TempFile
@@ -179,6 +180,36 @@ class TestPerClientCaches:
         scenario = chain_scenario(num_relations=2, num_servers=1)
         with pytest.raises(ConfigurationError):
             WorkloadRunner(scenario, Policy.DATA_SHIPPING, num_clients=0)
+
+
+class TestSubmissionPlanning:
+    @pytest.mark.parametrize("cache", ["static", "dynamic"])
+    def test_every_read_session_is_planned_once_at_submission(self, cache, monkeypatch):
+        """Static and dynamic caches share one planning path: each read
+        session calls ``optimize_for`` for its own client exactly once."""
+        calls = []
+        optimize_for = QueryExecutor.optimize_for
+
+        def counting(self, client_site, *args, **kwargs):
+            calls.append(client_site)
+            return optimize_for(self, client_site, *args, **kwargs)
+
+        monkeypatch.setattr(QueryExecutor, "optimize_for", counting)
+        scenario = chain_scenario(
+            num_relations=2, num_servers=1, cached_fraction=0.0, placement_seed=3
+        )
+        fully_cached = {name: 1.0 for name in scenario.catalog.relation_names}
+        result = WorkloadRunner(
+            scenario,
+            Policy.HYBRID_SHIPPING,
+            num_clients=3,
+            stream=StreamConfig(arrival="closed", queries_per_client=2),
+            seed=3,
+            client_caches={1: fully_cached},
+            cache=cache,
+        ).run()
+        assert result.completed == result.submitted == 6
+        assert sorted(calls) == [-2, -2, -1, -1, 0, 0]
 
 
 class TestApiSurface:
