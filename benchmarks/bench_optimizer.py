@@ -16,8 +16,8 @@ configuration's wall clock is the fastest of three identical runs.
 (The figure code itself reuses plans only within one grid point; the
 second pass measures what a cache kept across a sweep can answer.)
 
-Also measured: the plan-cache hit rate on a multi-client workload (hybrid
-runs reuse the pure-policy passes already planned for DS/QS), and serial
+Also measured: the plan-cache hit rate on a multi-client workload (the
+sessions of one run re-plan against an unchanged cache view), and serial
 vs two-worker wall clock for the full ``figure2`` sweep (byte-identical
 output required; on a single-core host the parallel run may well be the
 slower one -- both numbers are reported either way).
@@ -42,11 +42,9 @@ from repro.workloads.scenarios import chain_scenario
 POLICIES = (Policy.DATA_SHIPPING, Policy.QUERY_SHIPPING, Policy.HYBRID_SHIPPING)
 
 
-def _optimization_sweep(cache, incremental):
-    """Optimize every Figure-2 grid point; return (plans, evals, visits)."""
-    plans = []
-    evaluations = 0
-    node_visits = 0
+def _grid():
+    """The Figure-2 grid's points: one scenario and one environment each."""
+    points = []
     for fraction in CACHE_FRACTIONS:
         for seed in SEEDS:
             scenario = chain_scenario(
@@ -56,46 +54,60 @@ def _optimization_sweep(cache, incremental):
                 cached_fraction=fraction,
                 placement_seed=seed,
             )
-            environment = scenario.environment()
-            for policy in POLICIES:
-                optimizer = RandomizedOptimizer(
-                    scenario.query,
-                    environment,
-                    policy=policy,
-                    objective=Objective.RESPONSE_TIME,
-                    config=OptimizerConfig.fast(),
-                    seed=seed,
-                    plan_cache=cache,
+            points.append((scenario, scenario.environment(), seed))
+    return points
+
+
+def _optimization_sweep(points, cache, incremental):
+    """Optimize every grid point; return (plans, evals, visits)."""
+    plans = []
+    evaluations = 0
+    node_visits = 0
+    for scenario, environment, seed in points:
+        for policy in POLICIES:
+            optimizer = RandomizedOptimizer(
+                scenario.query,
+                environment,
+                policy=policy,
+                objective=Objective.RESPONSE_TIME,
+                config=OptimizerConfig.fast(),
+                seed=seed,
+                plan_cache=cache,
+            )
+            if not incremental:
+                optimizer.cost_model = CostModel(
+                    scenario.query, environment, incremental=False
                 )
-                if not incremental:
-                    optimizer.cost_model = CostModel(
-                        scenario.query, environment, incremental=False
-                    )
-                result = optimizer.optimize()
-                plans.append((result.plan, result.cost))
-                evaluations += result.evaluations
-                node_visits += optimizer.cost_model.node_visits
+            result = optimizer.optimize()
+            plans.append((result.plan, result.cost))
+            evaluations += result.evaluations
+            node_visits += optimizer.cost_model.node_visits
     return plans, evaluations, node_visits
 
 
 def _timed_sweep(cached, incremental, runs=3):
     """Both passes, ``runs`` times over; the wall clock is the fastest run.
 
-    Each run starts from a fresh :class:`~repro.optimizer.PlanCache` (when
-    ``cached``), so every run does the same work and counts the same
-    evaluations, visits and cache hits; the minimum drops the noise a
-    shared host adds to any single run.  Returns the last run's plans and
-    cache.
+    Each run builds the grid and starts from a fresh
+    :class:`~repro.optimizer.PlanCache` (when ``cached``), so every run
+    does the same work and counts the same evaluations, visits and cache
+    hits; the minimum drops the noise a shared host adds to any single
+    run.  Both passes optimize the same environment objects, which is
+    what lets the cache answer the revisit.  Returns the last run's plans
+    and cache.
     """
     elapsed = float("inf")
     for _ in range(runs):
         cache = PlanCache() if cached else None
         start = time.perf_counter()
+        points = _grid()
         plans = []
         evaluations = 0
         node_visits = 0
         for _ in range(2):  # the figure suite revisits its grid points
-            pass_plans, pass_evals, pass_visits = _optimization_sweep(cache, incremental)
+            pass_plans, pass_evals, pass_visits = _optimization_sweep(
+                points, cache, incremental
+            )
             plans.extend(pass_plans)
             evaluations += pass_evals
             node_visits += pass_visits
@@ -109,7 +121,11 @@ def _timed_sweep(cached, incremental, runs=3):
 
 
 def _workload_cache_stats():
-    """Plan-cache hit rate across a multi-client, multi-policy workload."""
+    """Plan-cache hit rate across a multi-client, multi-policy workload.
+
+    The three runs share one cache, but each run plans against its own
+    executor's environments, so every hit is within one run.
+    """
     cache = PlanCache()
     scenario = chain_scenario(num_relations=2, cached_fraction=0.75)
     stream = StreamConfig(arrival="closed", queries_per_client=2)

@@ -11,9 +11,10 @@ pages query after query.
 
 :class:`CacheState` is the immutable per-relation resident-page summary the
 optimizer consumes: the cost model estimates client-resident fractions from
-it instead of the static catalog fractions, and its digest is folded into
-``plan_fingerprint`` so cached plans go stale exactly when the cache
-contents they were planned against do.
+it instead of the static catalog fractions.  ``QueryExecutor.optimize_for``
+plans every call whose snapshot has the same digest against one
+environment, so cached plans go stale exactly when the cache contents
+they were planned against do.
 """
 
 from repro.caching.buffer import BufferCache, CacheState

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import types
 import typing
 from dataclasses import dataclass, field
 
@@ -116,7 +117,10 @@ class EnvironmentState:
 
     catalog: Catalog
     config: SystemConfig
-    server_loads: dict[int, float] = field(default_factory=dict)
+    # A read-only view of a private copy (see ``__post_init__``): an
+    # environment keys plan-cache entries by identity, so it must not
+    # change under them.
+    server_loads: typing.Mapping[int, float] = field(default_factory=dict)
     calibration: CostCalibration = field(default_factory=CostCalibration)
     # Client-cache snapshot: when set, the cost model estimates
     # client-resident fractions from it instead of the catalog cache
@@ -126,6 +130,10 @@ class EnvironmentState:
     # model sizes join buffers from each site's free pool and prices
     # expected memory-wait time, so replans steer away from saturation.
     memory_pressure: MemoryPressureState | None = None
+
+    def __post_init__(self) -> None:
+        loads = types.MappingProxyType(dict(self.server_loads))
+        object.__setattr__(self, "server_loads", loads)
 
     def load_factor(self, site_id: int) -> float:
         """Disk service inflation from external load at ``site_id``."""

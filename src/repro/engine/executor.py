@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 import typing
+import weakref
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
@@ -289,6 +290,12 @@ class QueryExecutor:
         self.objective = objective
         self.optimizer_config = optimizer_config
         self.plan_cache = plan_cache
+        # optimize_for's planning environments, one per live pair of (cache
+        # view digest, memory pressure digest); plan-cache entries keep
+        # theirs alive.
+        self._environments: "weakref.WeakValueDictionary[tuple, EnvironmentState]" = (
+            weakref.WeakValueDictionary()
+        )
         self.recovery_stats = RecoveryStats()
         self.injector: FaultInjector | None = None
         if faults is not None and not faults.is_empty:
@@ -506,24 +513,35 @@ class QueryExecutor:
         The plan is priced against the client's live cache contents (a
         per-client override, pages faulted in or invalidated since the
         install) and, under dynamic memory governance, the brokers' current
-        occupancy (steering joins away from saturated sites); both
-        snapshots key the plan cache.  ``policy`` defaults to the
-        executor's.
+        occupancy (steering joins away from saturated sites).  Those two
+        snapshots are the only planning inputs that change inside one
+        executor, so every call whose snapshots have the same digests plans
+        against one environment object and so can reuse its cached plans.
+        ``policy`` defaults to the executor's.
         """
         from repro.optimizer.two_phase import RandomizedOptimizer
 
         cache = self.topology.site(client_site).buffer_cache
-        environment = EnvironmentState(
-            self.catalog,
-            self.config,
-            dict(self.server_loads),
-            cache_state=None if cache is None else cache.snapshot(),
-            memory_pressure=(
-                MemoryPressureState.capture(self.topology.sites)
-                if self.config.memory.is_dynamic
-                else None
-            ),
+        cache_state = None if cache is None else cache.snapshot()
+        pressure = (
+            MemoryPressureState.capture(self.topology.sites)
+            if self.config.memory.is_dynamic
+            else None
         )
+        key = (
+            None if cache_state is None else cache_state.digest(),
+            None if pressure is None else pressure.digest(),
+        )
+        environment = self._environments.get(key)
+        if environment is None:
+            environment = EnvironmentState(
+                self.catalog,
+                self.config,
+                self.server_loads,
+                cache_state=cache_state,
+                memory_pressure=pressure,
+            )
+            self._environments[key] = environment
         return RandomizedOptimizer(
             self.query,
             environment,

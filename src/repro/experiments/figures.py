@@ -193,7 +193,6 @@ def _best_plan(
     objective: Objective,
     settings: RunSettings,
     seed: int,
-    cache: PlanCache | None = None,
 ) -> DisplayOp:
     """The plan 2PO picks for ``scenario`` under its true state."""
     return optimize(
@@ -204,7 +203,6 @@ def _best_plan(
         settings.optimizer,
         seed,
         PlanShape.ANY,
-        cache,
     ).plan
 
 
@@ -221,15 +219,20 @@ def _measure_point(
 
     ``runs`` pairs each policy with its series: each output label with
     the ``ExecutionResult`` attribute it reports (``"response_time"`` or
-    ``"pages_sent"``).  All policies of the point share one plan cache,
-    so hybrid's pure data- and query-shipping passes reuse the
-    standalone optimizations of the same seed when those come first.
+    ``"pages_sent"``).  All policies of the point plan against one
+    environment and share one plan cache, so hybrid's pure data- and
+    query-shipping passes reuse the standalone optimizations of the same
+    seed when those come first.
     """
     built = scenario(placement_seed=seed)
+    environment = built.environment()
     cache = PlanCache()
     samples = []
     for policy, series in runs:
-        plan = _best_plan(built, policy, objective, settings, seed, cache)
+        plan = optimize(
+            built.query, environment, policy, objective, settings.optimizer, seed,
+            PlanShape.ANY, cache,
+        ).plan
         run = built.execute(plan, seed=seed)
         samples.extend((label, x, float(getattr(run, metric))) for label, metric in series)
     return samples

@@ -19,10 +19,10 @@ class RunSettings:
     average of many such random placements", section 4.3).
 
     Plans are reused only inside one grid point: a point optimizes all
-    of its policies for one seed against one plan cache, so hybrid's
-    pure data- and query-shipping passes repeat no search.  Nothing is
-    shared across points, so the result does not depend on how points
-    are split over worker processes.
+    of its policies for one seed against one environment and one plan
+    cache, so hybrid's pure data- and query-shipping passes repeat no
+    search.  Nothing is shared across points, so the result does not
+    depend on how points are split over worker processes.
     """
 
     seeds: tuple[int, ...] = (3, 7, 11, 13, 17)

@@ -166,11 +166,5 @@ class Network:
         """Accumulated busy time of the wire (for interval utilization)."""
         return self._wire.busy_time
 
-    def reset_counters(self) -> None:
-        """Zero the traffic counters (used between benchmark repetitions)."""
-        self.data_pages_sent = 0
-        self.control_messages_sent = 0
-        self.bytes_sent = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Network pages_sent={self.data_pages_sent}>"

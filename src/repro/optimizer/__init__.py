@@ -15,7 +15,7 @@ redone at run time.  It loads on first access to one of its names.
 """
 
 from repro import lazy_getattr
-from repro.optimizer.cache import CacheStats, PlanCache, plan_fingerprint
+from repro.optimizer.cache import CacheStats, PlanCache
 from repro.optimizer.random_plans import PlanShape, random_plan
 from repro.optimizer.space import random_neighbor
 from repro.optimizer.two_phase import OptimizationResult, RandomizedOptimizer, optimize
@@ -36,7 +36,6 @@ __all__ = [
     "RandomizedOptimizer",
     "TwoStepOptimizer",
     "optimize",
-    "plan_fingerprint",
     "random_neighbor",
     "random_plan",
     "site_selection_only",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.config import OptimizerConfig
 from repro.costmodel.model import CostModel, EnvironmentState, Objective, PlanCost
 from repro.errors import OptimizationError
-from repro.optimizer.cache import PlanCache, plan_fingerprint
+from repro.optimizer.cache import PlanCache
 from repro.optimizer.random_plans import PlanShape, force_client_scans, random_plan
 from repro.optimizer.space import random_neighbor
 from repro.plans.annotations import Annotation
@@ -97,18 +97,19 @@ class RandomizedOptimizer:
         self.cost_model = CostModel(query, environment)
         self.evaluations = 0
 
-    def _fingerprint(self, subspace: Policy | None) -> str:
-        return plan_fingerprint(
-            self.query,
-            self.environment,
-            self.policy,
+    def _cache_inputs(self, subspace: Policy | None) -> tuple:
+        """The value inputs that key this run (``None``) or one pass in the
+        plan cache; a pass is keyed by its subspace instead of the policy,
+        so a hybrid run's pure pass shares the standalone pure entry."""
+        return (
+            "full" if subspace is None else "pass",
+            self.policy if subspace is None else subspace,
             self.objective,
             self.config,
             self.seed,
             self.shape,
             self.annotation_moves_only,
             self.forced_client_relations,
-            subspace=subspace,
         )
 
     # ------------------------------------------------------------------
@@ -242,13 +243,11 @@ class RandomizedOptimizer:
 
     def optimize(self) -> OptimizationResult:
         """Run both phases (per subspace) and return the best plan found."""
-        # Plans seeded from an explicit initial plan are not fingerprinted,
-        # so only from-scratch optimizations go through the cache.
+        # A run seeded from an explicit initial plan bypasses the cache.
         cache = self.plan_cache if self.initial_plan is None else None
-        full_key: str | None = None
+        full_inputs = self._cache_inputs(None)
         if cache is not None:
-            full_key = self._fingerprint(None)
-            cached = cache.get(full_key)
+            cached = cache.get(self.environment, self.query, full_inputs)
             if cached is not None:
                 plan, cost = cached
                 return OptimizationResult(
@@ -267,22 +266,19 @@ class RandomizedOptimizer:
             # optimization with the same seed, while the hybrid main pass
             # explores an independent stream instead of replaying it.
             self.rng = random.Random(f"{self.seed}:{move_policy.value}")
-            pass_key: str | None = None
-            cached = None
-            if cache is not None:
-                pass_key = self._fingerprint(move_policy)
-                cached = cache.get(pass_key)
+            inputs = self._cache_inputs(move_policy)
+            cached = None if cache is None else cache.get(self.environment, self.query, inputs)
             if cached is not None:
                 plan, cost = cached
             else:
                 plan, cost = self._run_2po(move_policy)
-                if cache is not None and pass_key is not None:
-                    cache.put(pass_key, plan, cost)
+                if cache is not None:
+                    cache.put(self.environment, self.query, inputs, plan, cost)
             if best_cost is None or self._metric(cost) < self._metric(best_cost):
                 best_plan, best_cost = plan, cost
         assert best_plan is not None and best_cost is not None
-        if cache is not None and full_key is not None:
-            cache.put(full_key, best_plan, best_cost)
+        if cache is not None:
+            cache.put(self.environment, self.query, full_inputs, best_plan, best_cost)
         return OptimizationResult(
             plan=best_plan,
             cost=best_cost,

@@ -520,8 +520,9 @@ class MemoryPressureState:
 
     Captured at (re)planning time and threaded into
     :class:`~repro.costmodel.model.EnvironmentState` so the optimizer can
-    price memory-wait time; ``digest`` keys the plan cache, so plans chosen
-    under different pressure never alias.
+    price memory-wait time; ``QueryExecutor.optimize_for`` plans against a
+    new environment when ``digest`` changes, so plans chosen under
+    different pressure never alias in the plan cache.
     """
 
     # (site_id, capacity_pages, granted_pages, waiting) per site, sorted.

@@ -47,7 +47,7 @@ class Scenario:
 
     def environment(self) -> EnvironmentState:
         """The true environment state (optimizer belief = reality)."""
-        return EnvironmentState(self.catalog, self.config, dict(self.server_loads))
+        return EnvironmentState(self.catalog, self.config, self.server_loads)
 
     def assumed_environment(self, catalog: Catalog, num_servers: int | None = None) -> EnvironmentState:
         """A (possibly wrong) compile-time belief for 2-step experiments."""

@@ -139,6 +139,21 @@ class TestEnvironmentState:
         overloaded = EnvironmentState(catalog_with(), SystemConfig(), {1: 1000.0})
         assert overloaded.load_factor(1) == pytest.approx(20.0)
 
+    def test_server_loads_are_read_only(self):
+        """An environment keys plan-cache entries, so its loads cannot
+        change under them: not by writing, not through the caller's dict."""
+        loads = {1: 40.0}
+        catalog = catalog_with()
+        environment = EnvironmentState(catalog, SystemConfig(), loads)
+        with pytest.raises(TypeError):
+            environment.server_loads[1] = 80.0
+        with pytest.raises(TypeError):
+            del environment.server_loads[1]
+        loads[1] = 80.0
+        assert environment.server_loads == {1: 40.0}
+        assert environment.load_factor(1) == pytest.approx(1.0 / (1.0 - 40 * 0.0118))
+        assert environment == EnvironmentState(catalog, SystemConfig(), {1: 40.0})
+
     def test_evaluation_counter(self):
         cost_model = model()
         cost_model.evaluate(qs_plan())

@@ -63,18 +63,6 @@ def test_wire_is_fifo_shared(env, topology):
     assert finish[0][1] < finish[1][1]
 
 
-def test_reset_counters(env, topology):
-    network = topology.network
-
-    def sender():
-        yield from network.send_page(topology.servers[0], topology.client)
-
-    env.run(until=env.process(sender()))
-    network.reset_counters()
-    assert network.data_pages_sent == 0
-    assert network.bytes_sent == 0
-
-
 def test_utilization(env, topology):
     network = topology.network
     config = topology.config

@@ -1,46 +1,66 @@
-"""Plan cache: semantic transparency, pass-level reuse, and invalidation."""
+"""Plan cache: semantic transparency, pass-level reuse, and what keys an entry."""
+
+import copy
+import dataclasses
+import gc
+import random
+import weakref
 
 import pytest
 
 from repro.config import OptimizerConfig
 from repro.costmodel.model import Objective
-from repro.optimizer import PlanCache, RandomizedOptimizer, plan_fingerprint
+from repro.engine.executor import QueryExecutor
+from repro.hardware.site import CLIENT_SITE_ID
+from repro.optimizer import PlanCache, RandomizedOptimizer
 from repro.optimizer import cache as cache_module
 from repro.optimizer.random_plans import PlanShape, random_plan
 from repro.plans.policies import Policy
 from repro.workload import StreamConfig, WorkloadRunner
 from repro.workloads.scenarios import chain_scenario
 
-import random
-
 POLICIES = (Policy.DATA_SHIPPING, Policy.QUERY_SHIPPING, Policy.HYBRID_SHIPPING)
 OBJECTIVES = (Objective.RESPONSE_TIME, Objective.PAGES_SENT)
 SEEDS = (3, 7, 11)
 
 
-def _optimize(scenario, policy, objective, seed, cache):
+def _optimize(query, environment, policy, objective, seed, cache, **options):
+    options.setdefault("config", OptimizerConfig.fast())
     return RandomizedOptimizer(
-        scenario.query,
-        scenario.environment(),
+        query,
+        environment,
         policy=policy,
         objective=objective,
-        config=OptimizerConfig.fast(),
         seed=seed,
         plan_cache=cache,
+        **options,
     ).optimize()
+
+
+def _executor(scenario, plan_cache, policy=Policy.HYBRID_SHIPPING):
+    return QueryExecutor(
+        scenario.config,
+        scenario.catalog,
+        scenario.query,
+        seed=3,
+        policy=policy,
+        plan_cache=plan_cache,
+    )
 
 
 class TestTransparency:
     def test_cached_equals_uncached_across_grid(self):
         """Property: caching never changes the chosen plan or its cost."""
         scenario = chain_scenario(num_relations=3, cached_fraction=0.5)
+        environment = scenario.environment()
         cache = PlanCache()
         for policy in POLICIES:
             for objective in OBJECTIVES:
                 for seed in SEEDS:
-                    plain = _optimize(scenario, policy, objective, seed, None)
-                    warm = _optimize(scenario, policy, objective, seed, cache)
-                    hit = _optimize(scenario, policy, objective, seed, cache)
+                    args = (scenario.query, environment, policy, objective, seed)
+                    plain = _optimize(*args, None)
+                    warm = _optimize(*args, cache)
+                    hit = _optimize(*args, cache)
                     assert warm.plan == plain.plan
                     assert warm.cost == plain.cost
                     assert hit.plan == plain.plan
@@ -55,8 +75,9 @@ class TestTransparency:
         from repro.experiments.runner import RunSettings
 
         plain = throughput_sweep(RunSettings(seeds=(3,)), client_counts=(1, 2))
-        # Every run of the sweep plans against one shared cache: cold on the
-        # first sweep, warm from it on the second.
+        # Every run of the sweep plans against one shared cache; each run
+        # hits only its own entries, as its executor's environments are
+        # its own.
         shared = PlanCache()
         monkeypatch.setattr(
             figures, "WorkloadRunner",
@@ -68,8 +89,9 @@ class TestTransparency:
         assert shared.stats.hits > 0
         monkeypatch.undo()
 
-        # A workload run with an explicit cache -- cold, then warm from the
-        # run before -- equals one on the run's own cache, in both modes.
+        # A workload run with an explicit cache -- fresh, then holding the
+        # run before's entries -- equals one on the run's own cache, in
+        # both modes.
         scenario = chain_scenario(num_relations=3, cached_fraction=0.5)
         stream = StreamConfig(arrival="closed", queries_per_client=2)
         for mode in ("static", "dynamic"):
@@ -87,11 +109,15 @@ class TestTransparency:
 
     def test_full_run_hit_does_no_search(self):
         scenario = chain_scenario(num_relations=2)
+        environment = scenario.environment()
         cache = PlanCache()
-        _optimize(scenario, Policy.HYBRID_SHIPPING, Objective.RESPONSE_TIME, 3, cache)
+        _optimize(
+            scenario.query, environment, Policy.HYBRID_SHIPPING,
+            Objective.RESPONSE_TIME, 3, cache,
+        )
         opt = RandomizedOptimizer(
             scenario.query,
-            scenario.environment(),
+            environment,
             policy=Policy.HYBRID_SHIPPING,
             config=OptimizerConfig.fast(),
             seed=3,
@@ -106,41 +132,101 @@ class TestSubspaceReuse:
     def test_hybrid_reuses_pure_subspace_passes(self):
         """Standalone DS/QS passes pre-warm a hybrid run with the same seed."""
         scenario = chain_scenario(num_relations=2, cached_fraction=0.5)
+        environment = scenario.environment()
         cache = PlanCache()
-        _optimize(scenario, Policy.QUERY_SHIPPING, Objective.RESPONSE_TIME, 3, cache)
-        _optimize(scenario, Policy.DATA_SHIPPING, Objective.RESPONSE_TIME, 3, cache)
+
+        def run(policy, plan_cache):
+            return _optimize(
+                scenario.query, environment, policy, Objective.RESPONSE_TIME, 3, plan_cache
+            )
+
+        run(Policy.QUERY_SHIPPING, cache)
+        run(Policy.DATA_SHIPPING, cache)
         before = cache.stats.hits
-        hybrid = _optimize(scenario, Policy.HYBRID_SHIPPING, Objective.RESPONSE_TIME, 3, cache)
+        hybrid = run(Policy.HYBRID_SHIPPING, cache)
         assert cache.stats.hits - before == 2
-        plain = _optimize(scenario, Policy.HYBRID_SHIPPING, Objective.RESPONSE_TIME, 3, None)
+        plain = run(Policy.HYBRID_SHIPPING, None)
         assert hybrid.plan == plain.plan
         assert hybrid.cost == plain.cost
 
 
 class TestInvalidation:
-    def test_forced_client_relations_change_the_key(self):
-        """Replans around a crashed site never reuse the unconstrained plan."""
-        scenario = chain_scenario(num_relations=2)
+    def test_each_value_input_changes_the_key(self):
+        """Same environment and query, one value input changed: a miss, and
+        the plan the uncached search finds."""
+        scenario = chain_scenario(num_relations=3, cached_fraction=0.5)
         environment = scenario.environment()
-        config = OptimizerConfig.fast()
         relation = sorted(scenario.query.relations)[0]
-        plain = plan_fingerprint(
-            scenario.query, environment, Policy.HYBRID_SHIPPING,
-            Objective.RESPONSE_TIME, config, 0, PlanShape.ANY, False, frozenset(),
-        )
-        constrained = plan_fingerprint(
-            scenario.query, environment, Policy.HYBRID_SHIPPING,
-            Objective.RESPONSE_TIME, config, 0, PlanShape.ANY, False,
-            frozenset({relation}),
-        )
-        assert plain != constrained
+        base = dict(policy=Policy.DATA_SHIPPING, objective=Objective.RESPONSE_TIME, seed=3)
+        variants = [
+            dict(policy=Policy.QUERY_SHIPPING),
+            dict(objective=Objective.PAGES_SENT),
+            dict(config=dataclasses.replace(OptimizerConfig.fast(), ii_starts=2)),
+            dict(seed=4),
+            dict(shape=PlanShape.DEEP),
+            dict(annotation_moves_only=True),
+            dict(forced_client_relations=frozenset({relation})),
+        ]
+        for variant in variants:
+            options = {**base, **variant}
+            cache = PlanCache()
+            RandomizedOptimizer(
+                scenario.query, environment, config=OptimizerConfig.fast(),
+                plan_cache=cache, **base,
+            ).optimize()
+            options.setdefault("config", OptimizerConfig.fast())
+            cached, plain = (
+                RandomizedOptimizer(
+                    scenario.query, environment, plan_cache=plan_cache, **options
+                ).optimize()
+                for plan_cache in (cache, None)
+            )
+            assert cache.stats.hits == 0, variant
+            assert cached.plan == plain.plan
+            assert cached.cost == plain.cost
+
+    def test_equal_but_distinct_objects_never_share_an_entry(self):
+        """The environment and the query are keyed by identity, not value."""
+        scenario = chain_scenario(num_relations=2, cached_fraction=0.5)
+        environment = scenario.environment()
+        twin_environment = scenario.environment()
+        twin_query = copy.copy(scenario.query)
+        assert twin_environment == environment and twin_environment is not environment
+        assert twin_query == scenario.query and twin_query is not scenario.query
+        cache = PlanCache()
+        args = (Policy.HYBRID_SHIPPING, Objective.RESPONSE_TIME, 3)
+        first = _optimize(scenario.query, environment, *args, cache)
+        for query, env in ((scenario.query, twin_environment), (twin_query, environment)):
+            again = _optimize(query, env, *args, cache)
+            assert again.evaluations > 0
+            assert (again.plan, again.cost) == (first.plan, first.cost)
+        assert cache.stats.hits == 0
+
+    def test_an_entry_keeps_its_environment_alive(self):
+        """An entry pins its environment, so no later object can take its
+        id while the entry exists: a new environment always misses."""
+        scenario = chain_scenario(num_relations=2)
+        cache = PlanCache()
+        args = (Policy.HYBRID_SHIPPING, Objective.RESPONSE_TIME, 3)
+        environment = scenario.environment()
+        pinned = weakref.ref(environment)
+        _optimize(scenario.query, environment, *args, cache)
+        del environment
+        gc.collect()
+        assert pinned() is not None
+        fresh = scenario.environment()
+        assert _optimize(scenario.query, fresh, *args, cache).evaluations > 0
+        assert cache.stats.hits == 0
+        del fresh
+        cache.clear()
+        gc.collect()
+        assert pinned() is None
 
     def test_environment_change_changes_the_key(self):
-        """Cached fractions key the plan, also a per-client override:
-        the catalog copy a client plans against carries its fractions."""
+        """Cached fractions key the plan, also a per-client override: the
+        catalog copy a client plans against carries its fractions."""
         from repro.costmodel.model import EnvironmentState
 
-        config = OptimizerConfig.fast()
         cold = chain_scenario(num_relations=2, cached_fraction=0.0)
         warm = chain_scenario(num_relations=2, cached_fraction=0.5)
         environments = [cold.environment(), warm.environment()]
@@ -148,74 +234,77 @@ class TestInvalidation:
             environments.append(
                 EnvironmentState(cold.catalog.with_cache(override), cold.config, {})
             )
-        keys = {
-            plan_fingerprint(
-                cold.query, environment, Policy.HYBRID_SHIPPING,
-                Objective.RESPONSE_TIME, config, 0, PlanShape.ANY, False, frozenset(),
-            )
-            for environment in environments
-        }
-        assert len(keys) == 4
+        cache = PlanCache()
+        args = (Policy.HYBRID_SHIPPING, Objective.RESPONSE_TIME, 0)
+        for environment in environments:
+            cached = _optimize(cold.query, environment, *args, cache)
+            plain = _optimize(cold.query, environment, *args, None)
+            assert (cached.plan, cached.cost) == (plain.plan, plain.cost)
+        assert cache.stats.hits == 0
+
+    def test_forced_client_relations_change_the_key(self):
+        """Replans around the same crashed site set reuse their plan; a
+        different set, or none, never reuses it."""
+        scenario = chain_scenario(num_relations=2)
+        first, second = sorted(scenario.query.relations)
+        cache = PlanCache()
+        executor = _executor(scenario, cache)
+        try:
+            for forced, hits in (
+                ({first}, 0),
+                ({first}, 1),
+                ({second}, 1),
+                (set(), 1),
+                ({second}, 2),
+            ):
+                plan = executor.optimize_for(
+                    CLIENT_SITE_ID, forced_client_relations=frozenset(forced)
+                )
+                assert cache.stats.hits == hits, forced
+                plain = _executor(scenario, None)
+                assert plan == plain.optimize_for(
+                    CLIENT_SITE_ID, forced_client_relations=frozenset(forced)
+                )
+                plain.close()
+        finally:
+            executor.close()
 
     def test_dynamic_cache_state_changes_the_key(self):
-        """A warming buffer cache stops stale plans from hitting."""
-        from dataclasses import replace
-
-        from repro.caching import CacheConfig, CacheState
-        from repro.costmodel.model import EnvironmentState
-
-        scenario = chain_scenario(num_relations=2)
-        config = OptimizerConfig.fast()
-        # A live snapshot: the pages one data-shipping query faulted in.
-        dynamic = replace(
-            scenario, config=replace(scenario.config, cache=CacheConfig(mode="dynamic"))
-        )
-        plan = _optimize(dynamic, Policy.DATA_SHIPPING, Objective.RESPONSE_TIME, 0, None)
-        live = dynamic.execute(plan.plan).cache_state
-        assert live.resident
-        keys = set()
-        for state in (
-            None,
-            CacheState(capacity_pages=500),
-            CacheState(capacity_pages=500, resident=(("R0", 10),)),
-            live,
-        ):
-            environment = EnvironmentState(
-                scenario.catalog, scenario.config, {}, cache_state=state
-            )
-            keys.add(
-                plan_fingerprint(
-                    scenario.query, environment, Policy.HYBRID_SHIPPING,
-                    Objective.RESPONSE_TIME, config, 0, PlanShape.ANY, False,
-                    frozenset(),
-                )
-            )
-        assert len(keys) == 4
+        """A client cache whose resident set changed stops stale plans from
+        hitting: the executor plans against a new environment."""
+        scenario = chain_scenario(num_relations=2, cached_fraction=0.5)
+        cache = PlanCache()
+        executor = _executor(scenario, cache)
+        try:
+            buffer_cache = executor.topology.site(CLIENT_SITE_ID).buffer_cache
+            executor.optimize_for(CLIENT_SITE_ID)
+            executor.optimize_for(CLIENT_SITE_ID)
+            assert cache.stats.hits == 1
+            assert buffer_cache.invalidate("R0", 0)
+            executor.optimize_for(CLIENT_SITE_ID)
+            assert cache.stats.hits == 1
+            executor.optimize_for(CLIENT_SITE_ID)
+            assert cache.stats.hits == 2
+        finally:
+            executor.close()
 
     def test_counters_alone_do_not_change_the_key(self):
         """Plans depend on what is resident, not on the hit/miss history --
         a stream whose resident set stabilised keeps planning from cache."""
-        from repro.caching import CacheState
-        from repro.costmodel.model import EnvironmentState
-
-        scenario = chain_scenario(num_relations=2)
-        config = OptimizerConfig.fast()
-        keys = set()
-        for hits in (0, 100):
-            state = CacheState(
-                capacity_pages=500, resident=(("R0", 10),), hits=hits
-            )
-            environment = EnvironmentState(
-                scenario.catalog, scenario.config, {}, cache_state=state
-            )
-            keys.add(
-                plan_fingerprint(
-                    scenario.query, environment, Policy.HYBRID_SHIPPING,
-                    Objective.RESPONSE_TIME, config, 0, PlanShape.ANY, False,
-                    frozenset(),
-                )
-            )
-        assert len(keys) == 1
+        scenario = chain_scenario(num_relations=2, cached_fraction=0.5)
+        cache = PlanCache()
+        executor = _executor(scenario, cache)
+        try:
+            buffer_cache = executor.topology.site(CLIENT_SITE_ID).buffer_cache
+            before = buffer_cache.snapshot()
+            executor.optimize_for(CLIENT_SITE_ID)
+            assert buffer_cache.lookup("R0", 0) is not None
+            after = buffer_cache.snapshot()
+            assert after != before and after.digest() == before.digest()
+            executor.optimize_for(CLIENT_SITE_ID)
+            assert cache.stats.hits == 1
+        finally:
+            executor.close()
 
     def test_initial_plan_bypasses_the_cache(self):
         scenario = chain_scenario(num_relations=2)
@@ -238,22 +327,28 @@ class TestMechanics:
         monkeypatch.setattr(cache_module, "MAX_ENTRIES", 2)
         cache = PlanCache()
         scenario = chain_scenario(num_relations=2)
-        plan = _optimize(scenario, Policy.HYBRID_SHIPPING, Objective.RESPONSE_TIME, 0, None)
+        environment = scenario.environment()
+        query = scenario.query
+        plan = _optimize(
+            query, environment, Policy.HYBRID_SHIPPING, Objective.RESPONSE_TIME, 0, None
+        )
         for key in ("a", "b", "c"):
-            cache.put(key, plan.plan, plan.cost)
+            cache.put(environment, query, (key,), plan.plan, plan.cost)
         assert len(cache) == 2
-        assert cache.get("a") is None
-        assert cache.get("c") is not None
+        assert cache.get(environment, query, ("a",)) is None
+        assert cache.get(environment, query, ("c",)) is not None
 
     def test_stats_and_clear(self):
         cache = PlanCache()
-        assert cache.get("missing") is None
+        scenario = chain_scenario(num_relations=2)
+        environment = scenario.environment()
+        query = scenario.query
+        assert cache.get(environment, query, ("missing",)) is None
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(0.0)
-        scenario = chain_scenario(num_relations=2)
-        r = _optimize(scenario, Policy.DATA_SHIPPING, Objective.RESPONSE_TIME, 0, None)
-        cache.put("k", r.plan, r.cost)
-        assert cache.get("k") == (r.plan, r.cost)
+        r = _optimize(query, environment, Policy.DATA_SHIPPING, Objective.RESPONSE_TIME, 0, None)
+        cache.put(environment, query, ("k",), r.plan, r.cost)
+        assert cache.get(environment, query, ("k",)) == (r.plan, r.cost)
         assert cache.stats.hit_rate == pytest.approx(0.5)
         cache.clear()
         assert len(cache) == 0

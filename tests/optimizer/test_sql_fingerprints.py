@@ -1,67 +1,70 @@
-"""Plan-cache fingerprints for SQL-planned queries.
+"""Plan caching of SQL-planned queries.
 
-Two guarantees: function-shipping features never alias in the cache (two
-statements differing only in UDF placement or GROUP BY keys get distinct
-fingerprints), and plain SPJ queries fingerprint exactly as they did
-before the SQL frontend existed -- so the frontend cannot invalidate or
-collide with the chain-join experiments' cached optimizations.
+Two guarantees: statements that differ only in a function-shipping
+feature (UDF placement or cost, GROUP BY keys, a semi-join) never share a
+cached plan, even planned against one environment on one cache; and a
+plain SPJ statement plans exactly as the hand-built query it equals, yet
+shares no entry with it -- a query is keyed by identity, so the frontend
+can neither collide with nor invalidate the chain-join experiments'
+cached optimizations.
 """
 
 from repro.config import OptimizerConfig
-from repro.costmodel.model import Objective
-from repro.optimizer.cache import PlanCache, plan_fingerprint
-from repro.optimizer.random_plans import PlanShape
+from repro.optimizer.cache import PlanCache
 from repro.optimizer.two_phase import RandomizedOptimizer
 from repro.plans.logical import JoinPredicate, Query
 from repro.plans.policies import Policy
 from repro.sql.scenario import sql_scenario
 
 
-def fingerprint_of(sql: str) -> str:
-    scenario = sql_scenario(sql, placement_seed=3)
-    return plan_fingerprint(
-        scenario.query,
-        scenario.environment(),
-        Policy.QUERY_SHIPPING,
-        Objective.RESPONSE_TIME,
-        OptimizerConfig.fast(),
+def _optimize(query, environment, plan_cache):
+    return RandomizedOptimizer(
+        query,
+        environment,
+        policy=Policy.HYBRID_SHIPPING,
+        config=OptimizerConfig.fast(),
         seed=3,
-        shape=PlanShape.ANY,
-        annotation_moves_only=False,
-        forced_client_relations=frozenset(),
-    )
+        plan_cache=plan_cache,
+    ).optimize()
+
+
+def assert_no_shared_entries(*statements):
+    """Optimize every statement against the first one's environment on one
+    cache: each misses and finds the plan an uncached search finds."""
+    queries = [sql_scenario(sql, placement_seed=3).query for sql in statements]
+    environment = sql_scenario(statements[0], placement_seed=3).environment()
+    assert len(set(map(repr, queries))) == len(queries)
+    cache = PlanCache()
+    for query in queries:
+        cached = _optimize(query, environment, cache)
+        plain = _optimize(query, environment, None)
+        assert (cached.plan, cached.cost) == (plain.plan, plain.cost)
+    assert cache.stats.hits == 0
 
 
 class TestSqlFingerprints:
     def test_udf_placement_changes_the_key(self):
         template = "SELECT * FROM R0 WHERE f(R0) COST 20000{at}"
-        prints = {
-            fingerprint_of(template.format(at=at))
-            for at in ("", " AT CLIENT", " AT SERVER")
-        }
-        assert len(prints) == 3
+        assert_no_shared_entries(
+            *(template.format(at=at) for at in ("", " AT CLIENT", " AT SERVER"))
+        )
 
     def test_udf_cost_changes_the_key(self):
-        assert fingerprint_of(
-            "SELECT * FROM R0 WHERE f(R0) COST 0"
-        ) != fingerprint_of("SELECT * FROM R0 WHERE f(R0) COST 20000")
+        assert_no_shared_entries(
+            "SELECT * FROM R0 WHERE f(R0) COST 0",
+            "SELECT * FROM R0 WHERE f(R0) COST 20000",
+        )
 
     def test_group_by_keys_change_the_key(self):
         template = "SELECT {col}, COUNT(*) FROM R0 GROUP BY {col}"
-        assert fingerprint_of(template.format(col="R0.a")) != fingerprint_of(
-            template.format(col="R0.b")
-        )
+        assert_no_shared_entries(template.format(col="R0.a"), template.format(col="R0.b"))
 
     def test_grouped_and_plain_statements_differ(self):
-        assert fingerprint_of("SELECT COUNT(*) FROM R0") != fingerprint_of(
-            "SELECT * FROM R0"
-        )
+        assert_no_shared_entries("SELECT COUNT(*) FROM R0", "SELECT * FROM R0")
 
     def test_semijoin_changes_the_key(self):
         template = "SELECT * FROM R0, R1 WHERE R0.k = R1.k SELECTIVITY 0.00002{semi}"
-        assert fingerprint_of(template.format(semi="")) != fingerprint_of(
-            template.format(semi=" SEMIJOIN")
-        )
+        assert_no_shared_entries(template.format(semi=""), template.format(semi=" SEMIJOIN"))
 
     def test_plain_spj_matches_a_hand_built_query(self):
         scenario = sql_scenario(
@@ -69,21 +72,13 @@ class TestSqlFingerprints:
             placement_seed=3,
         )
         hand_built = Query(("R0", "R1"), (JoinPredicate("R0", "R1", 0.0001),))
-        args = (
-            scenario.environment(),
-            Policy.QUERY_SHIPPING,
-            Objective.RESPONSE_TIME,
-            OptimizerConfig.fast(),
-        )
-        kwargs = dict(
-            seed=3,
-            shape=PlanShape.ANY,
-            annotation_moves_only=False,
-            forced_client_relations=frozenset(),
-        )
-        assert plan_fingerprint(scenario.query, *args, **kwargs) == plan_fingerprint(
-            hand_built, *args, **kwargs
-        )
+        assert scenario.query == hand_built
+        environment = scenario.environment()
+        cache = PlanCache()
+        sql_plan = _optimize(scenario.query, environment, cache)
+        hand_plan = _optimize(hand_built, environment, cache)
+        assert (sql_plan.plan, sql_plan.cost) == (hand_plan.plan, hand_plan.cost)
+        assert cache.stats.hits == 0
 
 
 class TestSqlPlanCaching:
@@ -94,11 +89,12 @@ class TestSqlPlanCaching:
             "AND slow(R0) COST 20000 GROUP BY R0.k"
         )
         scenario = sql_scenario(sql, placement_seed=3)
+        environment = scenario.environment()
 
         def optimize(plan_cache):
             optimizer = RandomizedOptimizer(
                 scenario.query,
-                scenario.environment(),
+                environment,
                 policy=Policy.HYBRID_SHIPPING,
                 seed=3,
                 plan_cache=plan_cache,
